@@ -47,7 +47,6 @@ func main() {
 		traceOut      = flag.String("trace", "", "with -bench: write a Chrome trace-event JSON timeline to this file")
 		httpAddr      = flag.String("http", "", "serve /stats, /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
 		dedup         = flag.Bool("dedup", false, "with -bench: report at most one race record per address")
-		fastpath      = flag.Bool("fastpath", true, "with -bench: use the lock-avoiding access-history fast path in full mode")
 		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists), depa (prefix-sharing fork-path cords, ABL10/11), or hybrid (depth-adaptive flat+cord, ABL11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
@@ -57,7 +56,6 @@ func main() {
 		stream        = flag.Bool("stream", false, "with -replay: stream the capture through a bounded pipeline — detection starts while the file is still being decoded, and resident memory stays constant in trace length")
 		omglobal      = flag.Bool("omglobal", false, "with -bench: force SF-Order's OM lists onto the single list-level lock (ABL8)")
 		noarena       = flag.Bool("noarena", false, "with -bench: disable SF-Order's per-worker slab arenas (ABL8)")
-		lockdeque     = flag.Bool("lockdeque", false, "with -bench: use the scheduler's historical mutex deque instead of the lock-free Chase–Lev deque (ABL9)")
 	)
 	flag.Parse()
 
@@ -100,11 +98,9 @@ func main() {
 			traceOut:  *traceOut,
 			recordOut: *record,
 			dedup:     *dedup,
-			fastpath:  *fastpath,
 			reach:     *reachSub,
 			omglobal:  *omglobal,
 			noarena:   *noarena,
-			lockdeque: *lockdeque,
 			block:     *httpAddr != "",
 		})
 	default:
@@ -188,11 +184,9 @@ type oneOpts struct {
 	traceOut  string
 	recordOut string
 	dedup     bool
-	fastpath  bool
 	reach     string
 	omglobal  bool
 	noarena   bool
-	lockdeque bool
 	block     bool // keep serving -http after the run completes
 }
 
@@ -289,10 +283,8 @@ func runOne(name string, sc workload.Scale, detector, mode, policy string, worke
 		Serial:       det == harness.MultiBags,
 		Policy:       pol,
 		DedupByAddr:  obs.dedup,
-		FastPath:     obs.fastpath,
 		OMGlobalLock: obs.omglobal,
 		NoArena:      obs.noarena,
-		LockDeque:    obs.lockdeque,
 		Registry:     obs.reg,
 	}
 	var traceFile *os.File

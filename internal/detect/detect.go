@@ -1,7 +1,7 @@
 // Package detect provides the access-history component shared by the
-// race detectors: a sharded shadow-memory table remembering, per memory
-// location, the last writer and a set of previous readers, plus the race
-// reporting machinery.
+// race detectors: a two-level shadow-memory table remembering, per
+// memory location, the last writer and a set of previous readers, plus
+// the race reporting machinery.
 //
 // A detector is assembled from a reachability component (SF-Order,
 // F-Order, or MultiBags — anything implementing Reachability) and a
@@ -14,9 +14,13 @@
 //     (location, future) pair — at most 2k readers per location — which
 //     §3.5 proves sufficient for structured futures (Lemmas 3.10, 3.11).
 //
-// As in the paper's implementation, every access locks the shard of the
-// access history covering its location (fine-grained locking); the sheer
-// volume of lock operations, not contention, dominates "full" overhead.
+// With Options.FastPath off, every access locks the page of the access
+// history covering its location, as in the paper's implementation
+// (fine-grained locking); the sheer volume of lock operations, not
+// contention, dominates "full" overhead there. The detectors built by
+// sforder.Run and harness.Run always turn the fast path on (fastpath.go);
+// the per-access locked path stays as the reference the fast path is
+// fuzzed against.
 package detect
 
 import (
@@ -24,7 +28,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"sforder/internal/obsv"
 	"sforder/internal/sched"
@@ -114,11 +117,6 @@ type Options struct {
 	// MaxRaces caps the number of detailed Race records retained
 	// (counting continues past the cap). 0 means 256.
 	MaxRaces int
-	// Shards is the number of lock shards for BackendShardedMap;
-	// 0 means 256 (rounded up to a power of two).
-	Shards int
-	// Backend selects the shadow-table layout.
-	Backend Backend
 	// DedupByAddr reports at most one race per memory location: after
 	// the first report on an address, later races there are counted
 	// in RaceCount but not retained as detailed records. Keeps reports
@@ -140,7 +138,10 @@ type Options struct {
 	// location granularity is unchanged (DESIGN.md §4 has the soundness
 	// argument). Requires the scheduler's StrandCloser hook: accesses
 	// are deferred until the engine closes the strand, so a History used
-	// without an engine must call StrandClose itself.
+	// without an engine must call StrandClose itself. Every detector the
+	// library and harness build sets it; off, each access takes its page
+	// lock — the paper's locked history, kept as the fast path's
+	// reference in the differential tests.
 	FastPath bool
 }
 
@@ -154,163 +155,27 @@ type AccessTap interface {
 	TapAccesses(s *sched.Strand, addrs []uint64, kinds []AccessKind)
 }
 
-// Backend selects the shadow-memory storage layout.
-type Backend int
-
-const (
-	// BackendShardedMap (default) is a power-of-two array of
-	// mutex-protected Go maps.
-	BackendShardedMap Backend = iota
-	// BackendTwoLevel is the paper's layout (§4): a two-level table
-	// acting like a direct-mapped cache — a directory of contiguous
-	// pages, with one lock per page (the paper's "each lock represents
-	// a subset of the access history" fine-grained locking).
-	BackendTwoLevel
-)
-
-func (b Backend) String() string {
-	switch b {
-	case BackendShardedMap:
-		return "sharded-map"
-	case BackendTwoLevel:
-		return "two-level"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
 type lrPair struct {
 	l, r *sched.Strand
 }
 
-// loc is the access-history metadata of one memory location.
+// loc is the access-history metadata of one memory location. All fields
+// but state are guarded by the covering page's lock; state is the
+// fast path's published snapshot, loaded without it.
 type loc struct {
 	lastWriter *sched.Strand
 	readers    []*sched.Strand // ReadersAll
 	pairs      map[int]*lrPair // ReadersLR, keyed by future ID
-}
-
-// addrTable is the storage backend of the access history: it maps a
-// shadow address to its location metadata under a fine-grained lock.
-type addrTable interface {
-	// acquire returns addr's metadata with its covering lock held;
-	// release must be called when done.
-	acquire(addr uint64) (l *loc, release func())
-	// unitOf returns the key of the lock unit covering addr: every
-	// address with the same key is protected by the same lock, so a
-	// batch of same-unit addresses can be applied under one acquisition.
-	unitOf(addr uint64) uint64
-	// applyUnit invokes fn(i, l) for each addrs[i] — which must all
-	// share one unitOf key — under a single acquisition of the covering
-	// lock, creating locations as needed.
-	applyUnit(unit uint64, addrs []uint64, fn func(i int, l *loc))
-	// forEach visits every populated location (taking locks itself);
-	// used by the accounting methods, not the hot path.
-	forEach(fn func(*loc))
-	// memBytes estimates the backend's heap footprint.
-	memBytes() int
-}
-
-// shardedTable is the default backend: a power-of-two array of mutex-
-// protected Go maps. Shards are selected by the address's page (its high
-// bits), not the address itself, so one shard lock covers a contiguous
-// page of locations — the granularity the batched fast path flushes at.
-type shardedTable struct {
-	shards []*shard
-	mask   uint64
-}
-
-type shard struct {
-	mu sync.Mutex
-	m  map[uint64]*loc
-}
-
-func newShardedTable(n int) *shardedTable {
-	if n == 0 {
-		n = 256
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	t := &shardedTable{mask: uint64(p - 1)}
-	for i := 0; i < p; i++ {
-		t.shards = append(t.shards, &shard{m: map[uint64]*loc{}})
-	}
-	return t
-}
-
-// shardFor hashes addr's page number to a shard; Fibonacci hashing
-// spreads dense page numbers across shards.
-func (t *shardedTable) shardFor(unit uint64) *shard {
-	return t.shards[(unit*0x9e3779b97f4a7c15)>>32&t.mask]
-}
-
-func (t *shardedTable) unitOf(addr uint64) uint64 { return addr >> pageBits }
-
-func (t *shardedTable) acquire(addr uint64) (*loc, func()) {
-	sh := t.shardFor(addr >> pageBits)
-	sh.mu.Lock()
-	l := sh.m[addr]
-	if l == nil {
-		l = &loc{}
-		sh.m[addr] = l
-	}
-	return l, sh.mu.Unlock
-}
-
-func (t *shardedTable) applyUnit(unit uint64, addrs []uint64, fn func(int, *loc)) {
-	sh := t.shardFor(unit)
-	sh.mu.Lock()
-	for i, a := range addrs {
-		l := sh.m[a]
-		if l == nil {
-			l = &loc{}
-			sh.m[a] = l
-		}
-		fn(i, l)
-	}
-	sh.mu.Unlock()
-}
-
-func (t *shardedTable) forEach(fn func(*loc)) {
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for _, l := range sh.m {
-			fn(l)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// locSize and pairSize are the real struct sizes, derived rather than
-// hard-coded so the memory accounting cannot drift as the structs evolve
-// (a test pins them to the expected values). entryOverhead approximates
-// a Go map entry (key + value pointer + bucket share); it is a model
-// constant, not a struct size.
-var (
-	locSize  = int(unsafe.Sizeof(loc{}))
-	pairSize = int(unsafe.Sizeof(lrPair{}))
-)
-
-const entryOverhead = 48
-
-func (t *shardedTable) memBytes() int {
-	total := 0
-	t.forEach(func(l *loc) {
-		total += locSize + entryOverhead + 8*cap(l.readers) + pairSize*len(l.pairs)
-	})
-	return total
+	state      atomic.Pointer[fastState]
 }
 
 // History is the access-history component: it implements
 // sched.AccessChecker and reports every determinacy race it observes.
 type History struct {
 	opts Options
-	tbl  addrTable
-	fast *stateDir // lock-free shadow directory; nil unless Options.FastPath
+	tbl  twoLevelTable
 
-	// countLocks enables the shard-lock acquisition counter and the
+	// countLocks enables the page-lock acquisition counter and the
 	// fast-path hit counters. It is set (before the run starts) by
 	// RegisterStats only, so the disabled hot path pays one predictable
 	// branch and nothing else.
@@ -340,19 +205,7 @@ func NewHistory(opts Options) *History {
 	if opts.MaxRaces == 0 {
 		opts.MaxRaces = 256
 	}
-	h := &History{opts: opts}
-	switch opts.Backend {
-	case BackendShardedMap:
-		h.tbl = newShardedTable(opts.Shards)
-	case BackendTwoLevel:
-		h.tbl = newTwoLevelTable()
-	default:
-		panic(fmt.Sprintf("detect: unknown backend %v", opts.Backend))
-	}
-	if opts.FastPath {
-		h.fast = &stateDir{}
-	}
-	return h
+	return &History{opts: opts}
 }
 
 func (h *History) report(addr uint64, prev *sched.Strand, prevKind AccessKind, cur *sched.Strand, curKind AccessKind) {
@@ -397,7 +250,7 @@ func (h *History) report(addr uint64, prev *sched.Strand, prevKind AccessKind, c
 // access goes through the state word + strand batch instead of taking
 // the location's lock here (fastpath.go).
 func (h *History) Read(s *sched.Strand, addr uint64) {
-	if h.fast != nil {
+	if h.opts.FastPath {
 		h.fastRead(s, addr)
 		return
 	}
@@ -407,9 +260,10 @@ func (h *History) Read(s *sched.Strand, addr uint64) {
 	if h.opts.Tap != nil {
 		h.tapOne(s, addr, AccessRead)
 	}
-	l, release := h.tbl.acquire(addr)
-	h.applyRead(s, addr, l)
-	release()
+	p := h.tbl.pageOf(addr >> pageBits)
+	p.mu.Lock()
+	h.applyRead(s, addr, p.locAt(addr))
+	p.mu.Unlock()
 }
 
 // tapOne feeds a single slow-path access to the tap through a stack
@@ -421,7 +275,7 @@ func (h *History) tapOne(s *sched.Strand, addr uint64, kind AccessKind) {
 }
 
 // applyRead performs the read-side history update on l, which the caller
-// holds the covering lock for.
+// holds the covering page lock for.
 func (h *History) applyRead(s *sched.Strand, addr uint64, l *loc) {
 	if w := l.lastWriter; w != nil && w != s && !h.precedes(w, s) {
 		h.report(addr, w, AccessWrite, s, AccessRead)
@@ -473,7 +327,7 @@ func (h *History) updateLR(l *loc, s *sched.Strand) {
 // also races this write or was already reported — §3.6). With FastPath
 // the access goes through the state word + strand batch (fastpath.go).
 func (h *History) Write(s *sched.Strand, addr uint64) {
-	if h.fast != nil {
+	if h.opts.FastPath {
 		h.fastWrite(s, addr)
 		return
 	}
@@ -483,9 +337,10 @@ func (h *History) Write(s *sched.Strand, addr uint64) {
 	if h.opts.Tap != nil {
 		h.tapOne(s, addr, AccessWrite)
 	}
-	l, release := h.tbl.acquire(addr)
-	h.applyWrite(s, addr, l)
-	release()
+	p := h.tbl.pageOf(addr >> pageBits)
+	p.mu.Lock()
+	h.applyWrite(s, addr, p.locAt(addr))
+	p.mu.Unlock()
 }
 
 // applyWrite performs the write-side history update on l, which the
@@ -547,13 +402,7 @@ func (h *History) RacyAddrs() []uint64 {
 func (h *History) LockAcquires() uint64 { return h.lockAcquires.Load() }
 
 // MemBytes estimates the history's heap footprint.
-func (h *History) MemBytes() int {
-	total := h.tbl.memBytes()
-	if h.fast != nil {
-		total += h.fast.memBytes()
-	}
-	return total
-}
+func (h *History) MemBytes() int { return h.tbl.memBytes() }
 
 // RegisterStats publishes the history counters (hist.*) on r and enables
 // the lock-acquisition and fast-path counters. Call it before the run

@@ -12,12 +12,12 @@ package detect
 //
 //  1. State word. Every location has an atomically published, immutable
 //     snapshot of its current history state (last writer + most recent
-//     reader), held in a lock-free shadow directory keyed like the
-//     two-level table. An access that repeats the published state — the
-//     recorded strand re-touching the location — adds no information the
-//     locked history would retain, so it skips everything. The load is
-//     seqlock-style validated by re-loading the slot and requiring the
-//     same snapshot.
+//     reader), stored in the location's loc and reached through the
+//     two-level table's lock-free directory and slots. An access that
+//     repeats the published state — the recorded strand re-touching the
+//     location — adds no information the locked history would retain, so
+//     it skips everything. The load is seqlock-style validated by
+//     re-loading the state word and requiring the same snapshot.
 //
 //  2. Strand-scoped batching. All accesses of one strand share a single
 //     dag position, so every Precedes verdict involving the strand is
@@ -33,14 +33,12 @@ package detect
 //     s's incoming dag edges exist before s executes), so verdicts are
 //     memoized per current strand in a small direct-mapped table.
 //
-// All per-strand state lives on Strand.Aux (shared with the StrandFilter
-// cache) and is pooled at strand close; strands are only ever executed by
-// one worker at a time, so the batch hot path is synchronization-free.
+// All per-strand state lives on Strand.Aux and is pooled at strand close;
+// strands are only ever executed by one worker at a time, so the batch
+// hot path is synchronization-free.
 
 import (
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"sforder/internal/sched"
 )
@@ -51,68 +49,6 @@ import (
 type fastState struct {
 	writer *sched.Strand
 	reader *sched.Strand
-}
-
-// statePage is one page of the lock-free shadow directory, covering the
-// same pageSize contiguous locations as the two-level table's pages.
-// next is immutable after publication (collision chains insert at head).
-type statePage struct {
-	num   uint64 // addr >> pageBits
-	next  *statePage
-	slots [pageSize]atomic.Pointer[fastState]
-}
-
-// stateDir is the lock-free shadow directory: the same two-level layout
-// as twoLevelTable, but with atomic directory slots and CAS insertion, so
-// lookups and publications never take a lock.
-type stateDir struct {
-	dir [1 << dirBits]atomic.Pointer[statePage]
-}
-
-// load returns addr's published snapshot, or nil when the location has
-// never been flushed.
-func (d *stateDir) load(addr uint64) *fastState {
-	num := addr >> pageBits
-	for p := d.dir[dirSlot(num)].Load(); p != nil; p = p.next {
-		if p.num == num {
-			return p.slots[addr&pageMask].Load()
-		}
-	}
-	return nil
-}
-
-// pageFor returns the page covering page number num, creating it with
-// CAS insertion if needed (only publishers create pages; load never
-// does). Flushes resolve the page once per lock unit — both backends'
-// unitOf is exactly the state directory's page number — and then index
-// slots directly.
-func (d *stateDir) pageFor(num uint64) *statePage {
-	sp := &d.dir[dirSlot(num)]
-	for {
-		head := sp.Load()
-		for p := head; p != nil; p = p.next {
-			if p.num == num {
-				return p
-			}
-		}
-		np := &statePage{num: num, next: head}
-		if sp.CompareAndSwap(head, np) {
-			return np
-		}
-	}
-}
-
-var statePageSize = int(unsafe.Sizeof(statePage{}))
-
-// memBytes estimates the directory's heap footprint.
-func (d *stateDir) memBytes() int {
-	total := len(d.dir) * 8
-	for i := range d.dir {
-		for p := d.dir[i].Load(); p != nil; p = p.next {
-			total += statePageSize
-		}
-	}
-	return total
 }
 
 const (
@@ -128,7 +64,7 @@ const (
 	poolMaxDistinct = 1 << 14
 )
 
-// unitBatch is a strand's pending accesses within one lock unit.
+// unitBatch is a strand's pending accesses within one shadow page.
 type unitBatch struct {
 	addrs []uint64
 	kinds []AccessKind
@@ -142,15 +78,15 @@ type unitBatch struct {
 const batchCacheSize = 256
 
 // strandState is the per-strand detector payload hung off Strand.Aux:
-// the access batch, the Precedes memo, and the StrandFilter cache. A
-// strand is executed by one worker at a time, so no synchronization.
+// the access batch and the Precedes memo. A strand is executed by one
+// worker at a time, so no synchronization.
 type strandState struct {
 	// seenAddr/seenMask form the direct-mapped (addr → kinds) dedup
 	// cache; a slot is occupied iff its mask is non-zero, so only the
 	// masks need clearing on reuse.
 	seenAddr [batchCacheSize]uint64
 	seenMask [batchCacheSize]uint8
-	units    map[uint64]*unitBatch // lock unit → pending entries
+	units    map[uint64]*unitBatch // page number → pending entries
 	free     []*unitBatch          // recycled batches (keep slice capacity warm)
 	pending  int                   // entries buffered since the last flush
 	// distinct counts every entry ever batched by this strand; it keeps
@@ -158,7 +94,6 @@ type strandState struct {
 	distinct int
 	memoK    [memoSize]uint64 // Precedes memo keys (strand ID + 1; 0 = empty)
 	memoV    [memoSize]bool
-	filter   *filterCache // StrandFilter cache (lazily allocated)
 }
 
 const (
@@ -203,9 +138,6 @@ func releaseStrandState(s *sched.Strand) {
 	clear(ss.units)
 	ss.pending, ss.distinct = 0, 0
 	ss.memoK = [memoSize]uint64{} // memoV is guarded by memoK
-	if ss.filter != nil {
-		*ss.filter = filterCache{}
-	}
 	statePool.Put(ss)
 }
 
@@ -214,7 +146,7 @@ func releaseStrandState(s *sched.Strand) {
 // fixed (u, v): every dag edge into v exists before v begins executing,
 // so no event during v's lifetime can create or destroy a u ⇝ v path.
 func (h *History) precedes(u, v *sched.Strand) bool {
-	if h.fast == nil {
+	if !h.opts.FastPath {
 		return h.opts.Reach.Precedes(u, v)
 	}
 	ss := stateOf(v)
@@ -238,11 +170,13 @@ func (h *History) precedes(u, v *sched.Strand) bool {
 // history would retain nothing new and every verdict it would compute is
 // already decided. The double load validates the snapshot seqlock-style.
 func (h *History) fastRead(s *sched.Strand, addr uint64) {
-	if st := h.fast.load(addr); st != nil && (st.reader == s || st.writer == s) && h.fast.load(addr) == st {
-		if h.countLocks {
-			h.fastHits.Add(1)
+	if l := h.tbl.published(addr); l != nil {
+		if st := l.state.Load(); st != nil && (st.reader == s || st.writer == s) && l.state.Load() == st {
+			if h.countLocks {
+				h.fastHits.Add(1)
+			}
+			return
 		}
-		return
 	}
 	h.batchAccess(s, addr, AccessRead)
 }
@@ -252,19 +186,20 @@ func (h *History) fastRead(s *sched.Strand, addr uint64) {
 // (the readers it would clear were each recorded after s's write by
 // strands parallel to s, and therefore already reported).
 func (h *History) fastWrite(s *sched.Strand, addr uint64) {
-	if st := h.fast.load(addr); st != nil && st.writer == s && h.fast.load(addr) == st {
-		if h.countLocks {
-			h.fastHits.Add(1)
+	if l := h.tbl.published(addr); l != nil {
+		if st := l.state.Load(); st != nil && st.writer == s && l.state.Load() == st {
+			if h.countLocks {
+				h.fastHits.Add(1)
+			}
+			return
 		}
-		return
 	}
 	h.batchAccess(s, addr, AccessWrite)
 }
 
 // batchAccess buffers one access in s's strand batch, deduplicating by
-// (addr, kind) with the StrandFilter rules: a read is subsumed by any
-// earlier same-strand access to the address, a write by an earlier
-// same-strand write. The dedup cache is lossy (direct-mapped); an
+// (addr, kind): a read is subsumed by any earlier same-strand access to
+// the address, a write by an earlier same-strand write. The dedup cache is lossy (direct-mapped); an
 // evicted entry is batched again, which the apply path tolerates.
 func (h *History) batchAccess(s *sched.Strand, addr uint64, kind AccessKind) {
 	ss := stateOf(s)
@@ -282,7 +217,7 @@ func (h *History) batchAccess(s *sched.Strand, addr uint64, kind AccessKind) {
 		ss.seenAddr[i] = addr
 		ss.seenMask[i] = uint8(1) << kind
 	}
-	unit := h.tbl.unitOf(addr)
+	unit := addr >> pageBits
 	ub := ss.units[unit]
 	if ub == nil {
 		if n := len(ss.free); n > 0 {
@@ -303,10 +238,10 @@ func (h *History) batchAccess(s *sched.Strand, addr uint64, kind AccessKind) {
 }
 
 // flush applies every pending entry of s's batch to the locked history,
-// one lock acquisition per lock unit, and publishes the resulting
-// location snapshots to the shadow directory. Entries within a unit are
-// applied in program order (a strand's read-then-write of an address
-// must check in that order).
+// one page-lock acquisition per page, and publishes the resulting
+// location snapshots to the locations' state words. Entries within a
+// page are applied in program order (a strand's read-then-write of an
+// address must check in that order).
 func (h *History) flush(s *sched.Strand, ss *strandState) {
 	if ss.pending == 0 {
 		return
@@ -325,24 +260,26 @@ func (h *History) flush(s *sched.Strand, ss *strandState) {
 		// Snapshots are immutable and shared: one {writer: s} for every
 		// write of this flush, and one per last-writer streak for reads
 		// (the same last writer repeats across a streak of locations).
-		sp := h.fast.pageFor(unit)
 		var wst, rst *fastState
-		h.tbl.applyUnit(unit, ub.addrs, func(i int, l *loc) {
-			addr := ub.addrs[i]
+		p := h.tbl.pageOf(unit)
+		p.mu.Lock()
+		for i, addr := range ub.addrs {
+			l := p.locAt(addr)
 			if ub.kinds[i] == AccessWrite {
 				h.applyWrite(s, addr, l)
 				if wst == nil {
 					wst = &fastState{writer: s}
 				}
-				sp.slots[addr&pageMask].Store(wst)
+				l.state.Store(wst)
 			} else {
 				h.applyRead(s, addr, l)
 				if rst == nil || rst.writer != l.lastWriter {
 					rst = &fastState{writer: l.lastWriter, reader: s}
 				}
-				sp.slots[addr&pageMask].Store(rst)
+				l.state.Store(rst)
 			}
-		})
+		}
+		p.mu.Unlock()
 		ub.addrs = ub.addrs[:0]
 		ub.kinds = ub.kinds[:0]
 	}
@@ -358,9 +295,7 @@ func (h *History) StrandClose(s *sched.Strand) {
 	if !ok {
 		return
 	}
-	if h.fast != nil {
-		h.flush(s, ss)
-	}
+	h.flush(s, ss)
 	releaseStrandState(s)
 }
 

@@ -11,6 +11,7 @@ import (
 	"sforder/internal/oracle"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
+	"sforder/internal/workload"
 )
 
 // runRacy executes p serially under full SF-Order detection and returns
@@ -62,23 +63,55 @@ func sameAddrs(a, b []uint64) bool {
 
 // TestFastPathMatchesOracleFuzz is the fast path's soundness fuzz: on
 // random programs, the racy-location set with the fast path on must be
-// byte-identical to the set with it off AND to the exhaustive oracle,
-// on both backends. Programs run in separate engine executions (the dag
-// and access addresses are deterministic), so each detector variant gets
-// the StrandCloser hook it needs.
+// byte-identical to the set with it off (the per-access locked
+// reference path) AND to the exhaustive oracle. Programs run in
+// separate engine executions (the dag and access addresses are
+// deterministic), so each detector variant gets the StrandCloser hook it
+// needs.
 func TestFastPathMatchesOracleFuzz(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
 		want := runOracle(t, p)
-		for _, backend := range []detect.Backend{detect.BackendShardedMap, detect.BackendTwoLevel} {
-			off := runRacy(t, p, detect.Options{Backend: backend})
-			on := runRacy(t, p, detect.Options{Backend: backend, FastPath: true})
-			if !sameAddrs(off, want) {
-				t.Fatalf("seed %d backend %v: fastpath off %v, oracle %v", seed, backend, off, want)
+		off := runRacy(t, p, detect.Options{})
+		on := runRacy(t, p, detect.Options{FastPath: true})
+		if !sameAddrs(off, want) {
+			t.Fatalf("seed %d: fastpath off %v, oracle %v", seed, off, want)
+		}
+		if !sameAddrs(on, want) {
+			t.Fatalf("seed %d: fastpath on %v, oracle %v", seed, on, want)
+		}
+	}
+}
+
+// TestFastPathLockReduction is the fast path's acceptance criterion: on
+// mm and hw in full mode, hist.lock_acquires with the fast path on must
+// be at most 1/5 of the per-access locked path's (the batch
+// amortization factor on loop-heavy workloads is far larger in
+// practice).
+func TestFastPathLockReduction(t *testing.T) {
+	for _, bench := range []*workload.Benchmark{workload.MM(32, 8), workload.HW(2, 8, 128)} {
+		locks := map[bool]uint64{}
+		for _, fast := range []bool{false, true} {
+			run := bench.Make()
+			reach := core.New(core.Config{})
+			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: fast})
+			hist.RegisterStats(obsv.NewRegistry()) // enable the counters
+			if _, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Checker: hist}, run.Main); err != nil {
+				t.Fatalf("%s fastpath=%v: %v", bench.Name, fast, err)
 			}
-			if !sameAddrs(on, want) {
-				t.Fatalf("seed %d backend %v: fastpath on %v, oracle %v", seed, backend, on, want)
+			if err := run.Verify(); err != nil {
+				t.Fatalf("%s fastpath=%v: %v", bench.Name, fast, err)
 			}
+			if n := hist.RaceCount(); n != 0 {
+				t.Fatalf("%s fastpath=%v: benchmark must be race-free, got %d races", bench.Name, fast, n)
+			}
+			locks[fast] = hist.LockAcquires()
+		}
+		if locks[false] == 0 {
+			t.Fatalf("%s: no lock acquisitions counted with fast path off", bench.Name)
+		}
+		if locks[true]*5 > locks[false] {
+			t.Errorf("%s: lock acquires %d (on) vs %d (off): want ≤ 1/5", bench.Name, locks[true], locks[false])
 		}
 	}
 }

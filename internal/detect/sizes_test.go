@@ -17,16 +17,21 @@ func TestAccountingSizes(t *testing.T) {
 	if pairSize != int(unsafe.Sizeof(lrPair{})) {
 		t.Errorf("pairSize %d != sizeof(lrPair) %d", pairSize, unsafe.Sizeof(lrPair{}))
 	}
+	if pageSizeBytes != int(unsafe.Sizeof(page{})) {
+		t.Errorf("pageSizeBytes %d != sizeof(page) %d", pageSizeBytes, unsafe.Sizeof(page{}))
+	}
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("expected values below are for 64-bit platforms")
 	}
-	if locSize != 40 {
-		t.Errorf("loc grew: %d bytes, expected 40", locSize)
+	// 48 = last writer, readers slice, pairs map, and the fast path's
+	// state word.
+	if locSize != 48 {
+		t.Errorf("loc grew: %d bytes, expected 48", locSize)
 	}
 	if pairSize != 16 {
 		t.Errorf("lrPair grew: %d bytes, expected 16", pairSize)
 	}
-	if got := int(unsafe.Sizeof(page{})); got != 2072 {
-		t.Errorf("page grew: %d bytes, expected 2072", got)
+	if pageSizeBytes != 2072 {
+		t.Errorf("page grew: %d bytes, expected 2072", pageSizeBytes)
 	}
 }

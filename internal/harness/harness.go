@@ -95,12 +95,6 @@ type Config struct {
 	// CountAccesses enables engine access counters (adds overhead;
 	// used by the Figure 3 characterization run).
 	CountAccesses bool
-	// Filter puts the strand-local redundancy filter in front of the
-	// access history (the §6 future-work extension; ABL4).
-	Filter bool
-	// FastPath enables the access history's lock-avoiding path (state
-	// word + strand batching + Precedes memo; ABL7).
-	FastPath bool
 	// DedupByAddr keeps at most one detailed race record per address.
 	DedupByAddr bool
 	// Reach selects SF-Order's reachability substrate: the OM list
@@ -113,11 +107,6 @@ type Config struct {
 	// NoArena disables SF-Order's per-worker slab arenas; dag-event
 	// records allocate on the GC heap (ABL8).
 	NoArena bool
-	// LockDeque selects the scheduler's historical mutex-guarded deque
-	// instead of the lock-free Chase–Lev deque (ABL9).
-	LockDeque bool
-	// Backend selects the shadow-table layout for Full mode.
-	Backend detect.Backend
 	// Registry, when non-nil, is attached to the run: every component
 	// registers its counters on it and Result.Stats carries the
 	// post-run snapshot. The table generators read their columns from
@@ -191,7 +180,6 @@ func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
 		Serial:        cfg.Serial,
 		Workers:       cfg.Workers,
 		CountAccesses: cfg.CountAccesses,
-		LockDeque:     cfg.LockDeque,
 		Stats:         cfg.Registry,
 		Trace:         cfg.Trace,
 	}
@@ -215,9 +203,8 @@ func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
 		hopts := detect.Options{
 			Reach:       reach,
 			Policy:      cfg.Policy,
-			Backend:     cfg.Backend,
 			DedupByAddr: cfg.DedupByAddr,
-			FastPath:    cfg.FastPath,
+			FastPath:    true,
 		}
 		if rec != nil {
 			hopts.Tap = rec
@@ -232,15 +219,7 @@ func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
 		if cfg.Registry != nil {
 			hist.RegisterStats(cfg.Registry)
 		}
-		if cfg.Filter {
-			filter := detect.NewStrandFilter(hist)
-			if cfg.Registry != nil {
-				filter.RegisterStats(cfg.Registry)
-			}
-			opts.Checker = filter
-		} else {
-			opts.Checker = hist
-		}
+		opts.Checker = hist
 	}
 	if rec != nil && hist == nil {
 		// Base and Reach modes have no access history to tap; the
@@ -324,8 +303,8 @@ func DefaultWorkers() int {
 }
 
 // RecordCapture runs benchmark b once under full online SF-Order
-// detection (fast path on, so the capture tap sees the batched access
-// stream) with the sftrace recorder attached, and returns the raw
+// detection with the sftrace recorder attached (the capture tap sees
+// the fast path's batched access stream), and returns the raw
 // capture bytes — the canonical input to offline replay tests and
 // benchmarks: feed them to trace.Load + replay.Run, or directly to
 // replay.RunStream.
@@ -333,7 +312,7 @@ func RecordCapture(b *workload.Benchmark, workers int) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := Run(b, Config{
 		Detector: SFOrder, Mode: Full,
-		Workers: workers, FastPath: true, Record: &buf,
+		Workers: workers, Record: &buf,
 	}); err != nil {
 		return nil, err
 	}

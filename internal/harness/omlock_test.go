@@ -62,7 +62,6 @@ func TestOMAblationKnobsAgree(t *testing.T) {
 				res, err := harness.Run(bench, harness.Config{
 					Detector: harness.SFOrder, Mode: mode, Workers: 2,
 					OMGlobalLock: global, NoArena: noArena,
-					FastPath: mode == harness.Full,
 					Registry: obsv.NewRegistry(),
 				})
 				if err != nil {

@@ -6,15 +6,14 @@ import (
 	"testing"
 )
 
-// dequeVariants runs a deque scenario over both representations: the
-// default lock-free Chase–Lev deque and the -lockdeque mutex ablation.
-func dequeVariants(t *testing.T, f func(t *testing.T, newPair func() (*worker, *worker))) {
+// onChaseLev runs a deque scenario on the Chase–Lev deque, as a subtest
+// named after the representation.
+func onChaseLev(t *testing.T, f func(t *testing.T, newPair func() (*worker, *worker))) {
 	t.Run("chaselev", func(t *testing.T) { f(t, NewTestWorkerPair) })
-	t.Run("lockdeque", func(t *testing.T) { f(t, NewTestWorkerPairLocked) })
 }
 
 func TestDequeLIFOPop(t *testing.T) {
-	dequeVariants(t, func(t *testing.T, newPair func() (*worker, *worker)) {
+	onChaseLev(t, func(t *testing.T, newPair func() (*worker, *worker)) {
 		w, _ := newPair()
 		j1, j2, j3 := NewTestJob(), NewTestJob(), NewTestJob()
 		w.PushJob(j1)
@@ -33,7 +32,7 @@ func TestDequeLIFOPop(t *testing.T) {
 }
 
 func TestDequeFIFOSteal(t *testing.T) {
-	dequeVariants(t, func(t *testing.T, newPair func() (*worker, *worker)) {
+	onChaseLev(t, func(t *testing.T, newPair func() (*worker, *worker)) {
 		victim, thief := newPair()
 		j1, j2 := NewTestJob(), NewTestJob()
 		victim.PushJob(j1)
@@ -48,7 +47,7 @@ func TestDequeFIFOSteal(t *testing.T) {
 }
 
 func TestPopSkipsTakenJobs(t *testing.T) {
-	dequeVariants(t, func(t *testing.T, newPair func() (*worker, *worker)) {
+	onChaseLev(t, func(t *testing.T, newPair func() (*worker, *worker)) {
 		w, _ := newPair()
 		j1, j2 := NewTestJob(), NewTestJob()
 		w.PushJob(j1)
@@ -66,7 +65,7 @@ func TestPopSkipsTakenJobs(t *testing.T) {
 }
 
 func TestStealSkipsTakenJobs(t *testing.T) {
-	dequeVariants(t, func(t *testing.T, newPair func() (*worker, *worker)) {
+	onChaseLev(t, func(t *testing.T, newPair func() (*worker, *worker)) {
 		victim, thief := newPair()
 		j1, j2 := NewTestJob(), NewTestJob()
 		victim.PushJob(j1)
@@ -120,7 +119,7 @@ func TestDequeGrows(t *testing.T) {
 // proof of emptiness under Chase–Lev (a lost CAS also returns nil), so
 // thieves retry until the global count accounts for every job.
 func TestConcurrentStealers(t *testing.T) {
-	dequeVariants(t, func(t *testing.T, newPair func() (*worker, *worker)) {
+	onChaseLev(t, func(t *testing.T, newPair func() (*worker, *worker)) {
 		victim, _ := newPair()
 		const n = 4096
 		jobs := make([]*job, n)
@@ -168,7 +167,7 @@ func TestConcurrentStealers(t *testing.T) {
 // exactly-once delivery of every job — the contended final-element CAS
 // path in particular.
 func TestPopStealRace(t *testing.T) {
-	dequeVariants(t, func(t *testing.T, newPair func() (*worker, *worker)) {
+	onChaseLev(t, func(t *testing.T, newPair func() (*worker, *worker)) {
 		owner, _ := newPair()
 		const n = 8192
 		var total atomic.Int64

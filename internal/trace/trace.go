@@ -309,9 +309,9 @@ const (
 )
 
 // Read implements sched.AccessChecker for detection-free recording: the
-// access is buffered per strand, deduplicated by the StrandFilter rules
-// (a read is subsumed by any earlier same-strand access to the address,
-// a write by an earlier same-strand write), and emitted at strand close.
+// access is buffered per strand, deduplicated by (addr, kind) — a read
+// is subsumed by any earlier same-strand access to the address, a write
+// by an earlier same-strand write — and emitted at strand close.
 func (r *Recorder) Read(s *sched.Strand, addr uint64) { r.record(s, addr, detect.AccessRead) }
 
 // Write implements sched.AccessChecker; see Read.

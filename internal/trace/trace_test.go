@@ -114,9 +114,11 @@ func TestCaptureRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecorderDedup: the standalone checker mode deduplicates by the
-// StrandFilter rules — a strand touching one address many times
-// contributes at most a write entry and at most a read entry.
+// TestRecorderDedup: the standalone checker mode deduplicates per
+// strand — a read is subsumed by any earlier same-strand access to the
+// address, a write by an earlier same-strand write — so a strand
+// touching one address many times contributes at most a write entry and
+// at most a read entry.
 func TestRecorderDedup(t *testing.T) {
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf)

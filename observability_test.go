@@ -14,35 +14,39 @@ import (
 // panics in a parallel worker must still report the races it exposed
 // before crashing. The interleaving is pinned: the spawned child spins
 // until the continuation's write is recorded, then writes the same
-// address (detecting the race) and panics.
+// address (detecting the race) and panics. With one worker the child
+// always runs inline at the parent's Sync, so its own strand's batched
+// accesses must be flushed on the way out of the inline run.
 func TestPartialResultOnPanic(t *testing.T) {
-	var parentWrote atomic.Bool
-	res, err := sforder.Run(sforder.Config{Detector: sforder.SFOrder, Workers: 2}, func(t *sforder.Task) {
-		t.Spawn(func(c *sforder.Task) {
-			for !parentWrote.Load() {
-				runtime.Gosched()
-			}
-			c.Write(100) // races with the continuation's write below
-			panic("deliberate worker crash")
+	for _, workers := range []int{2, 1} {
+		var parentWrote atomic.Bool
+		res, err := sforder.Run(sforder.Config{Detector: sforder.SFOrder, Workers: workers}, func(t *sforder.Task) {
+			t.Spawn(func(c *sforder.Task) {
+				for !parentWrote.Load() {
+					runtime.Gosched()
+				}
+				c.Write(100) // races with the continuation's write below
+				panic("deliberate worker crash")
+			})
+			t.Write(100)
+			parentWrote.Store(true)
+			t.Sync()
 		})
-		t.Write(100)
-		parentWrote.Store(true)
-		t.Sync()
-	})
-	if err == nil {
-		t.Fatal("worker panic did not surface as an error")
-	}
-	if res == nil {
-		t.Fatal("partial result dropped on worker panic")
-	}
-	if res.RaceCount == 0 || len(res.Races) == 0 {
-		t.Fatalf("races detected before the crash were lost: %+v", res)
-	}
-	if res.Races[0].Addr != 100 {
-		t.Errorf("wrong race record: %v", res.Races[0])
-	}
-	if res.Strands == 0 {
-		t.Errorf("partial result carries no counts: %+v", res)
+		if err == nil {
+			t.Fatalf("workers=%d: worker panic did not surface as an error", workers)
+		}
+		if res == nil {
+			t.Fatalf("workers=%d: partial result dropped on worker panic", workers)
+		}
+		if res.RaceCount == 0 || len(res.Races) == 0 {
+			t.Fatalf("workers=%d: races detected before the crash were lost: %+v", workers, res)
+		}
+		if res.Races[0].Addr != 100 {
+			t.Errorf("workers=%d: wrong race record: %v", workers, res.Races[0])
+		}
+		if res.Strands == 0 {
+			t.Errorf("workers=%d: partial result carries no counts: %+v", workers, res)
+		}
 	}
 }
 
@@ -103,9 +107,8 @@ func TestDedupByAddr(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	for _, det := range []sforder.Detector{sforder.SFOrder, sforder.FOrder, sforder.MultiBags, sforder.WSPOrder} {
-		cfg := sforder.Config{Detector: det, Serial: true, Stats: true, StrandFilter: true}
-		res, err := sforder.Run(cfg, func(t *sforder.Task) {
+	program := func(det sforder.Detector) func(*sforder.Task) {
+		return func(t *sforder.Task) {
 			t.Spawn(func(c *sforder.Task) { c.Write(1) })
 			t.Write(1)
 			t.Sync()
@@ -113,14 +116,18 @@ func TestStatsSnapshot(t *testing.T) {
 				h := t.Create(func(c *sforder.Task) any { c.Read(2); return nil })
 				t.Get(h)
 			}
-		})
+		}
+	}
+	for _, det := range []sforder.Detector{sforder.SFOrder, sforder.FOrder, sforder.MultiBags, sforder.WSPOrder} {
+		cfg := sforder.Config{Detector: det, Serial: true, Stats: true}
+		res, err := sforder.Run(cfg, program(det))
 		if err != nil {
 			t.Fatalf("%v: %v", det, err)
 		}
 		if res.Stats == nil {
 			t.Fatalf("%v: Stats nil with Config.Stats set", det)
 		}
-		for _, key := range []string{"sched.strands", "sched.spawns", "sched.writes", "reach.queries", "reach.mem_bytes", "hist.races", "hist.lock_acquires", "hist.filter_dropped", "hist.mem_bytes"} {
+		for _, key := range []string{"sched.strands", "sched.spawns", "sched.writes", "reach.queries", "reach.mem_bytes", "hist.races", "hist.lock_acquires", "hist.mem_bytes"} {
 			if _, ok := res.Stats[key]; !ok {
 				t.Errorf("%v: snapshot missing %q: %v", det, key, res.Stats)
 			}
@@ -137,6 +144,15 @@ func TestStatsSnapshot(t *testing.T) {
 		if res.Stats["hist.lock_acquires"] == 0 {
 			t.Errorf("%v: lock acquisitions not counted", det)
 		}
+	}
+	// The zero-value Config runs the history's fast path: accesses
+	// reach the table through strand-batch flushes.
+	res, err := sforder.Run(sforder.Config{Stats: true}, program(sforder.SFOrder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats["hist.batch_flushes"] == 0 {
+		t.Errorf("zero-value Config: hist.batch_flushes = 0, want > 0: %v", res.Stats)
 	}
 }
 

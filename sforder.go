@@ -171,20 +171,6 @@ type Config struct {
 	Policy ReaderPolicy
 	// MaxRaces caps retained detailed race records (0 = 256).
 	MaxRaces int
-	// StrandFilter puts a strand-local redundancy filter in front of
-	// the access history: accesses a strand already made to an address
-	// are dropped before taking the history lock. Detection at location
-	// granularity is unchanged; loop-heavy workloads check in much less
-	// often.
-	StrandFilter bool
-	// FastPath enables the access history's lock-avoiding path: a
-	// per-location published state word absorbs redundant accesses
-	// without locking, the rest are buffered per strand and applied one
-	// lock acquisition per shadow page when the strand ends, and
-	// Precedes verdicts are memoized per strand. Detection at location
-	// granularity is unchanged (DESIGN.md §4). Cuts hist.lock_acquires
-	// by the batch factor on loop-heavy workloads.
-	FastPath bool
 	// DedupByAddr reports at most one detailed race record per memory
 	// location: after the first report on an address, later races there
 	// are counted in RaceCount but not retained in Races. Keeps reports
@@ -212,8 +198,6 @@ type Config struct {
 	// dag) and the static cmd/sfvet analyzer. Violations surface as
 	// Run's error in parallel mode and panic in Serial mode.
 	CheckStructure bool
-	// Backend selects the shadow-table layout for full detection.
-	Backend Backend
 	// Reach selects the SFOrder reachability substrate: the OM list
 	// pair (default), DePa fork-path cords, or the depth-adaptive
 	// flat/cord hybrid.
@@ -227,18 +211,6 @@ type Config struct {
 	// Run returns; write errors surface as Run's error.
 	Record io.Writer
 }
-
-// Backend selects the shadow-memory layout of the access history.
-type Backend = detect.Backend
-
-const (
-	// BackendShardedMap (default) shards a hash map across mutexes.
-	BackendShardedMap = detect.BackendShardedMap
-	// BackendTwoLevel is the paper's two-level direct-mapped layout
-	// (§4) — one lock per contiguous page of locations; measurably
-	// faster on dense address spaces.
-	BackendTwoLevel = detect.BackendTwoLevel
-)
 
 // Result reports a completed run.
 type Result struct {
@@ -334,14 +306,16 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 			}
 		}
 		if !cfg.ReachabilityOnly {
+			// Full detection always runs the history's lock-avoiding
+			// fast path (state word, strand batches, Precedes memo;
+			// DESIGN.md §4).
 			hopts := detect.Options{
 				Reach:       reach,
 				Policy:      cfg.Policy,
 				LeftOf:      leftOf,
 				MaxRaces:    cfg.MaxRaces,
-				Backend:     cfg.Backend,
 				DedupByAddr: cfg.DedupByAddr,
-				FastPath:    cfg.FastPath,
+				FastPath:    true,
 			}
 			if rec != nil {
 				// The history taps the recorder with the deduplicated
@@ -353,15 +327,7 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 			if reg != nil {
 				hist.RegisterStats(reg)
 			}
-			if cfg.StrandFilter {
-				filter := detect.NewStrandFilter(hist)
-				if reg != nil {
-					filter.RegisterStats(reg)
-				}
-				opts.Checker = filter
-			} else {
-				opts.Checker = hist
-			}
+			opts.Checker = hist
 		}
 	}
 	if rec != nil && hist == nil {
