@@ -309,8 +309,7 @@ func BenchmarkAblationFastPath(b *testing.B) {
 
 // BenchmarkAblationOMLock (ABL8): reachability maintenance at 4 workers
 // with the order-maintenance lists under fine-grained bucket locking vs
-// the single list-level lock, and with per-worker slab arenas vs plain
-// heap allocation. The om-lock-acquires metric is the acceptance
+// the single list-level lock. The om-lock-acquires metric is the acceptance
 // quantity: fine-grained locking must cut list-level lock acquisitions
 // by at least 2× on mm (in practice the maintenance lock is only taken
 // at bucket splits, so the drop is far larger).
@@ -323,21 +322,18 @@ func BenchmarkAblationOMLock(b *testing.B) {
 	for _, bench := range benches {
 		bench := bench
 		for _, v := range []struct {
-			name    string
-			global  bool
-			noArena bool
+			name   string
+			global bool
 		}{
-			{"fine-arena", false, false},
-			{"fine-heap", false, true},
-			{"global-arena", true, false},
-			{"global-heap", true, true},
+			{"fine-arena", false},
+			{"global-arena", true},
 		} {
 			v := v
 			b.Run(bench.Name+"/"+v.name, func(b *testing.B) {
 				res := measure(b, bench, harness.Config{
 					Detector: harness.SFOrder, Mode: harness.Reach, Workers: 4,
-					OMGlobalLock: v.global, NoArena: v.noArena,
-					Registry: obsv.NewRegistry(),
+					OMGlobalLock: v.global,
+					Registry:     obsv.NewRegistry(),
 				})
 				b.ReportMetric(float64(res.Stats["om.lock_acquires"]), "om-lock-acquires")
 				b.ReportMetric(float64(res.Stats["om.bucket_locks"]), "om-bucket-locks")
@@ -515,77 +511,6 @@ func BenchmarkReplayScaling(b *testing.B) {
 				b.ReportMetric(float64(last.Entries), "entries-total")
 				b.ReportMetric(float64(last.MaxShardEntries), "entries-max-shard")
 				b.ReportMetric(float64(last.Queries), "queries")
-			})
-		}
-	}
-}
-
-// BenchmarkReplayRebuild (ABL13): the replay rebuild itself — the phase
-// the parallel label-table path and the streaming pipeline attack — on
-// mm, sort and ksweep captures at 1/2/4/8 rebuild workers, barriered
-// and streamed. The barriered cells replay a pre-loaded capture with
-// RebuildWorkers=w on the DePa substrate (w=1 is the serial event-order
-// rebuild baseline; w>1 the precomputed-table path) and report the
-// rebuild wall plus the balance counters; the streamed cells replay the
-// raw bytes through the bounded pipeline at w detection shards (the
-// rebuild is the pipeline's producer stage, so RebuildWorkers does not
-// apply) and report the loader's structure share and the in-flight
-// peak. Detection shards stay fixed at 2 in the barriered cells so the
-// sweep isolates rebuild cost.
-func BenchmarkReplayRebuild(b *testing.B) {
-	entries := []struct {
-		label string
-		bench *workload.Benchmark
-	}{
-		{"mm", workload.MM(64, 16)},
-		{"sort", workload.Sort(20_000, 512)},
-		{"ksweep", workload.KSweep(256, 2000)},
-	}
-	for _, e := range entries {
-		raw, err := harness.RecordCapture(e.bench, harness.DefaultWorkers())
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := trace.Load(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			w := w
-			b.Run(fmt.Sprintf("%s/barrier/rw%d", e.label, w), func(b *testing.B) {
-				var last *replay.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := replay.Run(c, replay.Options{
-						Workers: 2, RebuildWorkers: w, Reach: core.SubstrateDePa,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(float64(last.Rebuild.Nanoseconds()), "rebuild-ns")
-				b.ReportMetric(float64(last.Strands), "strands")
-				if last.RebuildParallel {
-					b.ReportMetric(float64(last.RebuildWork), "rebuild-work")
-					b.ReportMetric(float64(last.RebuildMaxSegment), "rebuild-max-segment")
-				}
-			})
-			b.Run(fmt.Sprintf("%s/stream/w%d", e.label, w), func(b *testing.B) {
-				var last *replay.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := replay.RunStream(bytes.NewReader(raw), replay.Options{
-						Workers: w, Reach: core.SubstrateDePa,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(float64(last.Rebuild.Nanoseconds()), "rebuild-ns")
-				b.ReportMetric(float64(last.StreamPeakBlocks), "peak-blocks")
-				b.ReportMetric(float64(last.StreamPeakBytes), "peak-bytes")
 			})
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"sforder/internal/harness"
 	"sforder/internal/obsv"
 	"sforder/internal/replay"
-	"sforder/internal/trace"
 	"sforder/internal/workload"
 )
 
@@ -52,10 +51,7 @@ func main() {
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
 		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: rebuild the dag and re-run detection offline, sharded by address")
 		replayWorkers = flag.Int("replayworkers", 0, "with -replay: number of parallel detection shards (0 = GOMAXPROCS)")
-		rebuildW      = flag.Int("rebuildworkers", 0, "with -replay: parallel rebuild workers constructing the fork-path labels from the capture's segment index (label substrates only; <2 = serial event-order rebuild)")
-		stream        = flag.Bool("stream", false, "with -replay: stream the capture through a bounded pipeline — detection starts while the file is still being decoded, and resident memory stays constant in trace length")
 		omglobal      = flag.Bool("omglobal", false, "with -bench: force SF-Order's OM lists onto the single list-level lock (ABL8)")
-		noarena       = flag.Bool("noarena", false, "with -bench: disable SF-Order's per-worker slab arenas (ABL8)")
 	)
 	flag.Parse()
 
@@ -88,7 +84,7 @@ func main() {
 
 	switch {
 	case *replayIn != "":
-		runReplay(*replayIn, *replayWorkers, *rebuildW, *stream, *reachSub, *dedup, *stats, reg)
+		runReplay(*replayIn, *replayWorkers, *reachSub, *dedup, *stats, reg)
 	case *table != "":
 		runTable(*table, benches, *workers, *repeats, *scale, *jsonOut)
 	case *bench != "":
@@ -100,7 +96,6 @@ func main() {
 			dedup:     *dedup,
 			reach:     *reachSub,
 			omglobal:  *omglobal,
-			noarena:   *noarena,
 			block:     *httpAddr != "",
 		})
 	default:
@@ -109,64 +104,39 @@ func main() {
 	}
 }
 
-// runReplay loads an sftrace capture and re-runs detection offline:
-// the dag is rebuilt on the selected reachability substrate, then the
-// access stream is partitioned by address hash across the requested
-// number of shards and detected in parallel (ABL12).
-func runReplay(path string, workers, rebuildWorkers int, stream bool, reachName string, dedup, stats bool, reg *obsv.Registry) {
+// runReplay streams an sftrace capture through offline detection: the
+// dag is rebuilt on the selected reachability substrate while the
+// access stream is routed by address hash to the requested number of
+// shards and detected in parallel (ABL12).
+func runReplay(path string, workers int, reachName string, dedup, stats bool, reg *obsv.Registry) {
 	sub, err := core.ParseSubstrate(reachName)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	opts := replay.Options{
-		Workers:        workers,
-		RebuildWorkers: rebuildWorkers,
-		Reach:          sub,
-		DedupByAddr:    dedup,
-		Stats:          reg,
-	}
 	f, err := os.Open(path)
 	check(err)
-	var res *replay.Result
-	if stream {
-		res, err = replay.RunStream(f, opts)
-		check(f.Close())
-	} else {
-		var c *trace.Capture
-		c, err = trace.Load(f)
-		check(f.Close())
-		if err == nil {
-			res, err = replay.Run(c, opts)
-		}
-	}
+	res, err := replay.RunStream(f, replay.Options{
+		Workers:     workers,
+		Reach:       sub,
+		DedupByAddr: dedup,
+		Stats:       reg,
+	})
+	check(f.Close())
 	if err != nil {
 		fatalf("replay: %s: %v", path, err)
 	}
-	mode := "barriered"
-	if res.Streamed {
-		mode = "streamed"
-	}
-	fmt.Printf("%s  replay workers=%d reach=%s mode=%s\n", path, res.Shards, sub, mode)
+	fmt.Printf("%s  replay workers=%d reach=%s\n", path, res.Shards, sub)
 	fmt.Printf("  strands    %d\n", res.Strands)
 	fmt.Printf("  futures    %d\n", res.Futures-1)
 	fmt.Printf("  events     %d\n", res.Events)
 	fmt.Printf("  accesses   %d (max shard %d)\n", res.Entries, res.MaxShardEntries)
 	fmt.Printf("  queries    %d\n", res.Queries)
 	fmt.Printf("  races      %d (%d racy addrs)\n", res.RaceCount, len(res.RacyAddrs))
-	// Per-phase breakdown. Under streaming, rebuild time is the loader's
-	// structure-event share and detect is the full pipeline wall (the
-	// phases overlap); barriered runs report disjoint phases.
-	if res.RebuildParallel {
-		fmt.Printf("  rebuild    %v (workers=%d labels=%d max-segment=%d/%d work units)\n",
-			res.Rebuild, res.RebuildWorkers, res.RebuildLabels, res.RebuildMaxSegment, res.RebuildWork)
-	} else {
-		fmt.Printf("  rebuild    %v (serial)\n", res.Rebuild)
-	}
+	// The loader's structure-event share overlaps the pipeline wall.
+	fmt.Printf("  rebuild    %v\n", res.Rebuild)
 	fmt.Printf("  detect     %v\n", res.Detect)
 	fmt.Printf("  merge      %v\n", res.Merge)
-	if res.Streamed {
-		fmt.Printf("  stream     peak %d blocks / %d bytes in flight\n", res.StreamPeakBlocks, res.StreamPeakBytes)
-	}
+	fmt.Printf("  in flight  peak %d blocks / %d bytes\n", res.StreamPeakBlocks, res.StreamPeakBytes)
 	fmt.Printf("  reach mem  %d bytes\n", res.ReachMemBytes)
 	for _, r := range res.Races {
 		fmt.Printf("  race: %v\n", r)
@@ -186,7 +156,6 @@ type oneOpts struct {
 	dedup     bool
 	reach     string
 	omglobal  bool
-	noarena   bool
 	block     bool // keep serving -http after the run completes
 }
 
@@ -284,7 +253,6 @@ func runOne(name string, sc workload.Scale, detector, mode, policy string, worke
 		Policy:       pol,
 		DedupByAddr:  obs.dedup,
 		OMGlobalLock: obs.omglobal,
-		NoArena:      obs.noarena,
 		Registry:     obs.reg,
 	}
 	var traceFile *os.File

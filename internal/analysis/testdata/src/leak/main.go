@@ -31,7 +31,7 @@ func literalStore(t *sforder.Task) box {
 	return box{fut: t.Create(func(*sforder.Task) any { return 1 })} // want SF004
 }
 
-func sliceStore(t *sforder.Task) {
+func localSlice(t *sforder.Task) {
 	futs := make([]*sforder.Future, 2)
 	for i := range futs {
 		futs[i] = t.Create(func(*sforder.Task) any { return 1 }) // ok: local slice
@@ -46,5 +46,5 @@ func main() {
 	globalStore(nil)
 	channelSend(nil, nil)
 	_ = literalStore(nil)
-	sliceStore(nil)
+	localSlice(nil)
 }

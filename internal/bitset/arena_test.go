@@ -47,7 +47,7 @@ func TestArenaCloneUnionMerge(t *testing.T) {
 }
 
 // TestArenaNilFallback: every arena helper must work with a nil arena
-// (the -noarena ablation path).
+// (callers without an arena).
 func TestArenaNilFallback(t *testing.T) {
 	var a *Arena
 	if got := CloneIn(a, FromIDs(9), 10); !got.Equal(FromIDs(9)) {

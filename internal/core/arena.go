@@ -29,9 +29,9 @@ var (
 	metaChunkPool = sync.Pool{New: func() any { return new(metaChunk) }}
 )
 
-// nodeSlab bump-allocates node records from pooled chunks. A nil
-// *nodeSlab falls back to the heap. Single-owner; byte counters are
-// atomic so stats gauges can scrape mid-run.
+// nodeSlab bump-allocates node records from pooled chunks.
+// Single-owner; byte counters are atomic so stats gauges can scrape
+// mid-run.
 type nodeSlab struct {
 	cur    *nodeChunk
 	next   int
@@ -40,9 +40,6 @@ type nodeSlab struct {
 }
 
 func (s *nodeSlab) get() *node {
-	if s == nil {
-		return &node{}
-	}
 	if s.cur == nil || s.next == nodeChunkLen {
 		s.cur = nodeChunkPool.Get().(*nodeChunk)
 		s.chunks = append(s.chunks, s.cur)
@@ -74,9 +71,6 @@ type metaSlab struct {
 }
 
 func (s *metaSlab) get() *futMeta {
-	if s == nil {
-		return &futMeta{}
-	}
 	if s.cur == nil || s.next == metaChunkLen {
 		s.cur = metaChunkPool.Get().(*metaChunk)
 		s.chunks = append(s.chunks, s.cur)
@@ -123,21 +117,4 @@ func (a *laneAlloc) release() {
 	a.nodes.release()
 	a.metas.release()
 	a.sets.Release()
-}
-
-// itemsOf and labelsOf resolve a lane's substrate arenas; both are
-// nil-safe (NoArena mode and out-of-lane callers pass a nil lane, and
-// the arenas themselves treat nil receivers as heap fallback).
-func itemsOf(a *laneAlloc) *om.ItemArena {
-	if a == nil {
-		return nil
-	}
-	return &a.items
-}
-
-func labelsOf(a *laneAlloc) *depa.Arena {
-	if a == nil {
-		return nil
-	}
-	return &a.labels
 }

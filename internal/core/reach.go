@@ -86,9 +86,6 @@ type Config struct {
 	// insert lock (the pre-fine-grained behavior; ABL8). Ignored by the
 	// DePa substrate, which takes no locks at all.
 	GlobalOMLock bool
-	// NoArena disables the slab arenas: every Item, node record, and
-	// bitmap allocates on the GC heap (ABL8).
-	NoArena bool
 	// AlwaysMerge disables the §3.4 subsumption optimization: every
 	// multi-parent strand allocates a fresh gp union (ABL2).
 	AlwaysMerge bool
@@ -110,9 +107,7 @@ type Reach struct {
 	// sched.LaneTracer exclusivity contract), so lane state is unlocked.
 	// shared is the fallback arena for events arriving through the plain
 	// Tracer methods (Reach wrapped in a MultiTracer, direct test
-	// drivers); it is serialized by sharedMu. Both are nil with
-	// cfg.NoArena, in which case every allocation goes to the heap and
-	// the fallback path needs no lock at all. sharedMu also orders
+	// drivers); it is serialized by sharedMu. sharedMu also orders
 	// lanes-slice resizing against the stats gauges.
 	sharedMu sync.Mutex
 	lanes    []*laneAlloc
@@ -139,11 +134,7 @@ func New(cfg Config) *Reach {
 	default:
 		sub = newOMPair(cfg.GlobalOMLock)
 	}
-	r := &Reach{sub: sub, cfg: cfg}
-	if !cfg.NoArena {
-		r.shared = new(laneAlloc)
-	}
-	return r
+	return &Reach{sub: sub, cfg: cfg, shared: new(laneAlloc)}
 }
 
 // NewReach returns an empty SF-Order reachability component with the
@@ -157,9 +148,6 @@ func NewReachAlwaysMerge() *Reach { return New(Config{AlwaysMerge: true}) }
 // SetLanes implements sched.LaneTracer: called by the engine before the
 // first event with the worker count, it sizes the per-worker arenas.
 func (r *Reach) SetLanes(n int) {
-	if r.cfg.NoArena {
-		return
-	}
 	r.sharedMu.Lock()
 	defer r.sharedMu.Unlock()
 	for len(r.lanes) < n {
@@ -167,32 +155,17 @@ func (r *Reach) SetLanes(n int) {
 	}
 }
 
-// laneFor resolves a worker lane to its arena; out-of-range lanes (a
-// tracer driven outside a sched.Run) and NoArena mode yield nil, which
-// every arena falls back from to the heap.
-func (r *Reach) laneFor(lane int) *laneAlloc {
-	if lane >= 0 && lane < len(r.lanes) {
-		return r.lanes[lane]
-	}
-	return nil
-}
+// laneFor resolves a worker lane to its arena. The engine sizes the
+// lanes with SetLanes before the first lane event.
+func (r *Reach) laneFor(lane int) *laneAlloc { return r.lanes[lane] }
 
-// lockShared enters the fallback allocation critical section. With
-// NoArena there is no shared state to protect — allocation is on the
-// heap and list inserts synchronize internally — so no lock is taken.
+// lockShared enters the fallback allocation critical section.
 func (r *Reach) lockShared() *laneAlloc {
-	if r.cfg.NoArena {
-		return nil
-	}
 	r.sharedMu.Lock()
 	return r.shared
 }
 
-func (r *Reach) unlockShared() {
-	if !r.cfg.NoArena {
-		r.sharedMu.Unlock()
-	}
-}
+func (r *Reach) unlockShared() { r.sharedMu.Unlock() }
 
 // Release returns every arena slab to the shared pools for reuse by a
 // later run. The Reach must not be used afterwards: node records, OM
@@ -205,9 +178,7 @@ func (r *Reach) Release() {
 	for _, a := range r.lanes {
 		a.release()
 	}
-	if r.shared != nil {
-		r.shared.release()
-	}
+	r.shared.release()
 }
 
 // ArenaBytes reports the slab bytes currently held across all lanes and
@@ -219,10 +190,7 @@ func (r *Reach) ArenaBytes() int64 {
 	for _, a := range r.lanes {
 		total += a.bytes()
 	}
-	if r.shared != nil {
-		total += r.shared.bytes()
-	}
-	return total
+	return total + r.shared.bytes()
 }
 
 func nodeOf(s *sched.Strand) *node { return s.Det.(*node) }
@@ -242,15 +210,10 @@ func (r *Reach) trackSet(s *bitset.Set) *bitset.Set {
 func (r *Reach) OnRoot(root *sched.Strand) {
 	r.strands.Add(1)
 	a := r.lockShared()
-	var nodes *nodeSlab
-	var metas *metaSlab
-	if a != nil {
-		nodes, metas = &a.nodes, &a.metas
-	}
-	rn := nodes.get()
+	rn := a.nodes.get()
 	r.sub.placeRoot(a, rn)
 	root.Det = rn
-	fm := metas.get()
+	fm := a.metas.get()
 	fm.cp = nil // the root has no ancestors
 	root.Fut.Det = fm
 	r.unlockShared()
@@ -270,15 +233,11 @@ func (r *Reach) placeBranch(a *laneAlloc, u, child, cont, placeholder *sched.Str
 		n = 3
 	}
 	r.strands.Add(uint64(n))
-	var nodes *nodeSlab
-	if a != nil {
-		nodes = &a.nodes
-	}
-	cn := nodes.get()
-	kn := nodes.get()
+	cn := a.nodes.get()
+	kn := a.nodes.get()
 	var pn *node
 	if placeholder != nil {
-		pn = nodes.get()
+		pn = a.nodes.get()
 	}
 	r.sub.placeBranch(a, un, cn, kn, pn)
 	cn.gp, kn.gp = un.gp, un.gp
@@ -294,15 +253,10 @@ func (r *Reach) placeBranch(a *laneAlloc, u, child, cont, placeholder *sched.Str
 func (r *Reach) placeCreate(a *laneAlloc, u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
 	r.placeBranch(a, u, first, cont, placeholder)
 	parent := metaOf(f.Parent)
-	var sets *bitset.Arena
-	var metas *metaSlab
-	if a != nil {
-		sets, metas = &a.sets, &a.metas
-	}
 	// Sized to cover the parent's ID so the Add never grows off-arena.
-	cp := bitset.CloneIn(sets, parent.cp, f.Parent.ID+1)
+	cp := bitset.CloneIn(&a.sets, parent.cp, f.Parent.ID+1)
 	cp.Add(f.Parent.ID)
-	fm := metas.get()
+	fm := a.metas.get()
 	fm.cp = r.trackSet(cp)
 	f.Det = fm
 }
@@ -311,14 +265,10 @@ func (r *Reach) placeCreate(a *laneAlloc, u, first, cont, placeholder *sched.Str
 // merged gp of its real-dag predecessors — the continuation k and the
 // joined spawned children's sinks.
 func (r *Reach) placeSync(a *laneAlloc, k, s *sched.Strand, childSinks []*sched.Strand) {
-	var sets *bitset.Arena
-	if a != nil {
-		sets = &a.sets
-	}
 	sn := nodeOf(s)
 	acc := nodeOf(k).gp
 	for _, c := range childSinks {
-		acc = r.mergeGP(sets, acc, nodeOf(c).gp)
+		acc = r.mergeGP(&a.sets, acc, nodeOf(c).gp)
 	}
 	sn.gp = acc
 }
@@ -328,15 +278,10 @@ func (r *Reach) placeSync(a *laneAlloc, k, s *sched.Strand, childSinks []*sched.
 func (r *Reach) placeGet(a *laneAlloc, u, g *sched.Strand, f *sched.FutureTask) {
 	un := nodeOf(u)
 	r.strands.Add(1)
-	var nodes *nodeSlab
-	var sets *bitset.Arena
-	if a != nil {
-		nodes, sets = &a.nodes, &a.sets
-	}
-	gn := nodes.get()
+	gn := a.nodes.get()
 	r.sub.placeSerial(a, un, gn)
 	last := nodeOf(f.Last())
-	gp := bitset.UnionIn(sets, un.gp, last.gp, f.ID+1)
+	gp := bitset.UnionIn(&a.sets, un.gp, last.gp, f.ID+1)
 	gp.Add(f.ID)
 	r.gpMerges.Add(1)
 	gn.gp = r.trackSet(gp)
@@ -533,10 +478,7 @@ func (r *Reach) RegisterStats(reg *obsv.Registry) {
 			for _, a := range r.lanes {
 				total += a.labels.WasteBytes()
 			}
-			if r.shared != nil {
-				total += r.shared.labels.WasteBytes()
-			}
-			return total
+			return total + r.shared.labels.WasteBytes()
 		})
 	}
 	reg.RegisterFunc("core.arena_bytes", r.ArenaBytes)

@@ -112,7 +112,7 @@ func newOMPair(globalLock bool) *omPair {
 }
 
 func (p *omPair) placeRoot(a *laneAlloc, rn *node) {
-	items := itemsOf(a)
+	items := &a.items
 	rn.setOM(p.engL.InsertFirstArena(items), p.hebL.InsertFirstArena(items))
 }
 
@@ -125,7 +125,7 @@ func (p *omPair) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
 	if pn != nil {
 		n = 3
 	}
-	items := itemsOf(a)
+	items := &a.items
 	var engBuf, hebBuf [3]*om.Item
 	eng, heb := engBuf[:n], hebBuf[:n]
 	ue, uh := un.omPos()
@@ -141,7 +141,7 @@ func (p *omPair) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
 }
 
 func (p *omPair) placeSerial(a *laneAlloc, un, gn *node) {
-	items := itemsOf(a)
+	items := &a.items
 	var engBuf, hebBuf [1]*om.Item
 	ue, uh := un.omPos()
 	p.engL.InsertAfterNArena(ue, items, engBuf[:])
@@ -263,7 +263,7 @@ func (d *depaSub) extend(la *depa.Arena, ul *depa.Label, uf *depa.Flat, c uint8)
 }
 
 func (d *depaSub) placeRoot(a *laneAlloc, rn *node) {
-	la := labelsOf(a)
+	la := &a.labels
 	l := depa.NewLabel(la)
 	var f *depa.Flat
 	if d.hybridDepth > 0 {
@@ -274,7 +274,7 @@ func (d *depaSub) placeRoot(a *laneAlloc, rn *node) {
 }
 
 func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
-	la := labelsOf(a)
+	la := &a.labels
 	ul, uf := un.depaLabel(), un.depaFlat()
 	cn.setDepa(d.extend(la, ul, uf, depa.Child))
 	kn.setDepa(d.extend(la, ul, uf, depa.Cont))
@@ -287,7 +287,7 @@ func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
 // un in both orders, because un anchors no other placement (each
 // strand forks at most once) so no other label extends un's.
 func (d *depaSub) placeSerial(a *laneAlloc, un, gn *node) {
-	gn.setDepa(d.extend(labelsOf(a), un.depaLabel(), un.depaFlat(), depa.Child))
+	gn.setDepa(d.extend(&a.labels, un.depaLabel(), un.depaFlat(), depa.Child))
 }
 
 // rel dispatches one order query: the flat fast path when both strands

@@ -43,7 +43,7 @@ func TestReachSubstrateMatchesOracleFuzz(t *testing.T) {
 
 // TestReachSubstrateParallelAgreement runs random programs on the
 // parallel engine (4 workers, lane arenas active) under all three
-// substrates — with and without arenas — and compares the racy set to
+// substrates and compares the racy set to
 // the serial oracle. Repeats catch schedule-dependent misbehavior;
 // under -race this doubles as the label-publication race check.
 func TestReachSubstrateParallelAgreement(t *testing.T) {
@@ -52,9 +52,7 @@ func TestReachSubstrateParallelAgreement(t *testing.T) {
 		want := runOracle(t, p)
 		for _, ccfg := range []core.Config{
 			{Reach: core.SubstrateDePa},
-			{Reach: core.SubstrateDePa, NoArena: true},
 			{Reach: core.SubstrateHybrid, HybridDepth: 6},
-			{Reach: core.SubstrateHybrid, HybridDepth: 6, NoArena: true},
 			{Reach: core.SubstrateOM},
 		} {
 			for rep := 0; rep < 2; rep++ {

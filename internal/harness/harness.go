@@ -104,9 +104,6 @@ type Config struct {
 	// the single list-level insert lock instead of fine-grained bucket
 	// locking (ABL8). Ignored by the DePa substrate.
 	OMGlobalLock bool
-	// NoArena disables SF-Order's per-worker slab arenas; dag-event
-	// records allocate on the GC heap (ABL8).
-	NoArena bool
 	// Registry, when non-nil, is attached to the run: every component
 	// registers its counters on it and Result.Stats carries the
 	// post-run snapshot. The table generators read their columns from
@@ -163,7 +160,6 @@ func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
 			sf := core.New(core.Config{
 				Reach:        cfg.Reach,
 				GlobalOMLock: cfg.OMGlobalLock,
-				NoArena:      cfg.NoArena,
 			})
 			reach, leftOf, release = sf, sf.LeftOf, sf.Release
 		case FOrder:
@@ -305,9 +301,10 @@ func DefaultWorkers() int {
 // RecordCapture runs benchmark b once under full online SF-Order
 // detection with the sftrace recorder attached (the capture tap sees
 // the fast path's batched access stream), and returns the raw
-// capture bytes — the canonical input to offline replay tests and
-// benchmarks: feed them to trace.Load + replay.Run, or directly to
-// replay.RunStream.
+// capture bytes — the canonical input to offline replay tests,
+// benchmarks and FuzzReplay seeds. replay.RunStream consumes the bytes
+// directly; replay.Run takes them after trace.Load. Both feed the same
+// replay pipeline.
 func RecordCapture(b *workload.Benchmark, workers int) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := Run(b, Config{

@@ -49,43 +49,34 @@ func TestOMLockReduction(t *testing.T) {
 		float64(locks[true])/float64(locks[false]))
 }
 
-// TestOMAblationKnobsAgree: the ABL8 knob grid (global lock × arena)
-// must not change measured results — counts, queries, and race-freedom
-// are identical across all four variants in reach and full mode.
+// TestOMAblationKnobsAgree: the ABL8 knob (global lock) must not
+// change measured results — counts, queries, and race-freedom are
+// identical across both variants in reach and full mode.
 func TestOMAblationKnobsAgree(t *testing.T) {
 	bench := workload.MM(16, 8)
 	for _, mode := range []harness.Mode{harness.Reach, harness.Full} {
 		var baseStrands, baseQueries uint64
-		first := true
-		for _, global := range []bool{false, true} {
-			for _, noArena := range []bool{false, true} {
-				res, err := harness.Run(bench, harness.Config{
-					Detector: harness.SFOrder, Mode: mode, Workers: 2,
-					OMGlobalLock: global, NoArena: noArena,
-					Registry: obsv.NewRegistry(),
-				})
-				if err != nil {
-					t.Fatalf("%v global=%v noarena=%v: %v", mode, global, noArena, err)
-				}
-				if res.Races != 0 {
-					t.Fatalf("%v global=%v noarena=%v: %d races on race-free mm",
-						mode, global, noArena, res.Races)
-				}
-				if noArena && res.Stats["core.arena_bytes"] != 0 {
-					t.Errorf("%v: -noarena still reports %d arena bytes", mode, res.Stats["core.arena_bytes"])
-				}
-				if first {
-					baseStrands, baseQueries = res.Counts.Strands, res.Queries
-					first = false
-					continue
-				}
-				if res.Counts.Strands != baseStrands {
-					t.Errorf("%v global=%v noarena=%v: strands %d, want %d",
-						mode, global, noArena, res.Counts.Strands, baseStrands)
-				}
-				if mode == harness.Full && res.Queries == 0 && baseQueries != 0 {
-					t.Errorf("%v global=%v noarena=%v: no queries served", mode, global, noArena)
-				}
+		for i, global := range []bool{false, true} {
+			res, err := harness.Run(bench, harness.Config{
+				Detector: harness.SFOrder, Mode: mode, Workers: 2,
+				OMGlobalLock: global,
+				Registry:     obsv.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatalf("%v global=%v: %v", mode, global, err)
+			}
+			if res.Races != 0 {
+				t.Fatalf("%v global=%v: %d races on race-free mm", mode, global, res.Races)
+			}
+			if i == 0 {
+				baseStrands, baseQueries = res.Counts.Strands, res.Queries
+				continue
+			}
+			if res.Counts.Strands != baseStrands {
+				t.Errorf("%v global=%v: strands %d, want %d", mode, global, res.Counts.Strands, baseStrands)
+			}
+			if mode == harness.Full && res.Queries == 0 && baseQueries != 0 {
+				t.Errorf("%v global=%v: no queries served", mode, global)
 			}
 		}
 	}

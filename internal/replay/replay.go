@@ -3,39 +3,40 @@
 // record once, detect anywhere, with parallelism bounded by the replay
 // worker count instead of the program's span.
 //
-// Replay has two phases:
+// Replay is one streaming pipeline with three stages:
 //
-//  1. Rebuild. The capture's structure events are fed, in file order,
-//     through the pluggable reachability substrate (internal/core — OM
+//  1. Loader. One goroutine reads the capture in order. It applies each
+//     structure event to the reachability substrate (internal/core — OM
 //     lists, DePa cords, or the hybrid) exactly as the online tracer
-//     would have been. File order is a happens-before-consistent
-//     linearization of the run (see internal/trace), so every Tracer
-//     precondition holds. With Options.RebuildWorkers > 1 and a label
-//     substrate, the rebuild itself parallelizes: a serial index pass
-//     (trace.PathIndex) partitions the strand forest, then P workers
-//     construct the immutable fork-path labels concurrently over
-//     independent segments (depa.BuildTable) with no OM list and no
-//     locks — only the gp/cp bitmap passes stay serial. Either way,
-//     after the rebuild the reachability state is read-only — frozen
-//     labels any number of workers can query lock-free.
+//     would have, and routes each access block's entries, once, to the
+//     shards that own their addresses (ShardOf). File order is a
+//     happens-before-consistent linearization of the run (see
+//     internal/trace), so every Tracer precondition holds.
 //
-//  2. Sharded detection. Access entries are partitioned by address hash
-//     across P workers. Each worker owns a disjoint shadow-state shard —
-//     a private last-writer/readers table for exactly the addresses that
-//     hash to it — so the hot loop takes no locks, publishes no state
-//     words, and shares nothing with other workers but the read-only
-//     reachability structures and the capture itself. Per-location
-//     detection is what the online detector guarantees (a race is
-//     reported on a location iff one exists there), and every location
-//     lives wholly inside one shard, so sharding changes no verdict
-//     (DESIGN.md §4). Races merge deterministically at the end.
+//  2. Shards. Each of P workers applies its entries to a shard-private
+//     detect.History — the paper's locked per-location last-writer/
+//     readers algorithm, the same code online detection runs. A shard's
+//     page locks are never contended, and its Precedes queries go
+//     through a private memo to the shared, append-only reachability
+//     state. Per-location detection is what the online detector
+//     guarantees (a race is reported on a location iff one exists
+//     there), and every location lives wholly inside one shard, so
+//     sharding changes no verdict (DESIGN.md §4).
+//
+//  3. Merge. The shards' races are merged deterministically at the end.
+//
+// Run and RunStream are the two sources of that pipeline: a loaded
+// Capture, and a capture's byte stream decoded as it is read.
 package replay
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sforder/internal/core"
@@ -50,18 +51,9 @@ type Options struct {
 	// Workers is the number of detection shards/workers; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// RebuildWorkers is the number of rebuild workers constructing the
-	// reachability labels (values below 2 mean the serial event-order
-	// rebuild). With more than one worker and a label substrate
-	// (SubstrateDePa or SubstrateHybrid), the rebuild switches to the
-	// precomputed-table path: a serial index pass over the structure
-	// events, then parallel label construction over independent
-	// segments (depa.BuildTable, core.Offline). The OM substrate has no
-	// precomputable labels and always rebuilds serially.
-	RebuildWorkers int
 	// Reach selects the reachability substrate the dag is rebuilt on.
-	// SubstrateDePa is the natural offline choice (frozen immutable
-	// labels, lock-free queries); all three work.
+	// SubstrateDePa is the natural offline choice (immutable labels,
+	// lock-free queries); all three work.
 	Reach core.Substrate
 	// HybridDepth is the SubstrateHybrid switchover depth (0 = default).
 	HybridDepth int
@@ -92,45 +84,37 @@ type Result struct {
 	Entries uint64
 	// Queries is the number of Precedes queries across all workers.
 	Queries uint64
-	// Shards is the worker count used; MaxShardEntries the largest
-	// number of access entries any one shard processed (shard balance:
-	// MaxShardEntries ≈ Entries/Shards means near-perfect partitioning).
+	// Shards is the worker count used. ShardEntries holds the access
+	// entries each shard applied (they sum to Entries: every entry is
+	// routed to exactly one shard) and MaxShardEntries the largest of
+	// them (MaxShardEntries ≈ Entries/Shards means near-perfect
+	// partitioning).
 	Shards          int
+	ShardEntries    []uint64
 	MaxShardEntries uint64
-	// Rebuild, Detect and Merge are the wall-clock times of the three
-	// phases. Under streaming, Rebuild is the loader time spent applying
-	// structure events and Detect the full pipeline wall (the phases
-	// overlap by construction).
+	// Rebuild is the loader time spent applying structure events,
+	// Detect the wall-clock time of the whole pipeline (which overlaps
+	// the rebuild by construction), and Merge the final race merge.
 	Rebuild time.Duration
 	Detect  time.Duration
 	Merge   time.Duration
 	// ReachMemBytes estimates the rebuilt reachability footprint.
 	ReachMemBytes int
-	// RebuildWorkers is the rebuild worker count actually used;
-	// RebuildParallel reports whether the precomputed-label-table path
-	// ran (false = serial event-order rebuild).
-	RebuildWorkers  int
-	RebuildParallel bool
-	// RebuildLabels counts the table labels built by the parallel path.
-	// RebuildWork is the total label-fill work (label + chunk units)
-	// and RebuildMaxSegment the largest single worker's share of it:
-	// the parallel label construction's critical path is
-	// RebuildMaxSegment of RebuildWork units, so
-	// RebuildMaxSegment·workers ≈ RebuildWork certifies each worker did
-	// ~1/W of the construction (the wall-clock speedup on real
-	// multi-core hardware).
-	RebuildLabels     uint64
-	RebuildWork       uint64
-	RebuildMaxSegment uint64
-	// Streamed reports the pipelined path (RunStream);
-	// StreamPeakBlocks/StreamPeakBytes are the high-water marks of the
-	// bounded ready-queue between the loader and the detection shards —
+	// StreamPeakBlocks/StreamPeakBytes are the high-water marks of
+	// access blocks in flight between the loader and the shards —
 	// bounded by StreamQueueCap+Workers+1 blocks regardless of capture
 	// length.
-	Streamed         bool
 	StreamPeakBlocks int64
 	StreamPeakBytes  int64
 }
+
+// StreamQueueCap bounds how far the detection shards may lag behind the
+// loader: at most StreamQueueCap + Workers access blocks are routed but
+// not yet fully applied, plus one at the loader waiting to be routed.
+// A block stays in flight until its last per-shard part is applied, so
+// StreamQueueCap + Workers + 1 bounds a replay's in-flight blocks
+// regardless of trace length.
+const StreamQueueCap = 64
 
 // ShardOf returns the detection shard owning addr among p shards: the
 // same Fibonacci hash the shadow tables use, reduced modulo p. Exported
@@ -139,36 +123,83 @@ func ShardOf(addr uint64, p int) int {
 	return int((addr * 0x9e3779b97f4a7c15) >> 32 % uint64(p))
 }
 
-// dagStore abstracts strand/future identity storage during an
-// event-order rebuild, so the same validating event switch (applyEvent)
-// drives both the barriered path (sliceStore — presized dense arrays,
-// the fast layout when the capture's totals are known up front) and the
-// streaming path (mapStore in stream.go — grows with the events actually
-// read, never sized from an untrusted header field).
-type dagStore interface {
-	need(i int, id uint64) (*sched.Strand, error)
-	intro(i int, id uint64, f *sched.FutureTask) (*sched.Strand, error)
-	needFut(i, id int) (*sched.FutureTask, error)
-	introFut(i, id int, parent *sched.FutureTask) (*sched.FutureTask, error)
+// source is a replay input: structure events and access blocks in an
+// order where each block follows the events introducing its strand.
+// *trace.Stream is one; captureSource is the other.
+type source interface {
+	Next() (*trace.Event, *trace.AccessBlock, error)
+	Strands() uint64
+	Futures() int
+	Events() uint64
+	Entries() uint64
+	Blocks() uint64
+	Bytes() int64
 }
 
-// sliceStore is the dense-array dagStore for whole-capture rebuilds.
-type sliceStore struct {
-	strands []*sched.Strand
-	futs    []*sched.FutureTask
+// captureSource feeds a loaded capture to the pipeline: every structure
+// event, then every access block. Applying the whole structure first
+// only publishes more of the dag before a query — never less — so the
+// verdicts equal the file-order interleaving's.
+type captureSource struct {
+	c      *trace.Capture
+	ev, bl int
 }
 
-func (st *sliceStore) need(i int, id uint64) (*sched.Strand, error) {
-	if id >= uint64(len(st.strands)) || st.strands[id] == nil {
+func (s *captureSource) Next() (*trace.Event, *trace.AccessBlock, error) {
+	if s.ev < len(s.c.Events) {
+		s.ev++
+		return &s.c.Events[s.ev-1], nil, nil
+	}
+	if s.bl < len(s.c.Blocks) {
+		s.bl++
+		return nil, &s.c.Blocks[s.bl-1], nil
+	}
+	return nil, nil, io.EOF
+}
+
+func (s *captureSource) Strands() uint64 { return s.c.Strands }
+func (s *captureSource) Futures() int    { return s.c.Futures }
+func (s *captureSource) Events() uint64  { return uint64(len(s.c.Events)) }
+func (s *captureSource) Entries() uint64 { return s.c.Entries }
+func (s *captureSource) Blocks() uint64  { return uint64(len(s.c.Blocks)) }
+func (s *captureSource) Bytes() int64    { return s.c.Bytes }
+
+// Run replays a loaded capture and returns the offline detection result.
+func Run(c *trace.Capture, opts Options) (*Result, error) {
+	return run(&captureSource{c: c}, opts)
+}
+
+// RunStream replays a capture directly from its byte stream: the loader
+// decodes the file once, in order, and detection of early blocks
+// overlaps decoding of later ones. The capture is never resident in
+// memory (see StreamQueueCap). Verdicts, and the merged report, equal
+// Run's on the loaded capture.
+func RunStream(r io.Reader, opts Options) (*Result, error) {
+	st, err := trace.OpenStream(r)
+	if err != nil {
+		return nil, err
+	}
+	return run(st, opts)
+}
+
+// idStore holds the strand and future identities of an event-order
+// rebuild. It grows only with the events actually read (each introduces
+// at most 3 strands and 1 future), never from a decoded total, so a
+// corrupt header cannot make it allocate ahead of the data.
+type idStore struct {
+	strands map[uint64]*sched.Strand
+	futs    map[int]*sched.FutureTask
+}
+
+func (st *idStore) need(i int, id uint64) (*sched.Strand, error) {
+	s := st.strands[id]
+	if s == nil {
 		return nil, fmt.Errorf("replay: event %d: strand %d referenced before introduction", i, id)
 	}
-	return st.strands[id], nil
+	return s, nil
 }
 
-func (st *sliceStore) intro(i int, id uint64, f *sched.FutureTask) (*sched.Strand, error) {
-	if id >= uint64(len(st.strands)) {
-		return nil, fmt.Errorf("replay: event %d: strand %d out of range", i, id)
-	}
+func (st *idStore) intro(i int, id uint64, f *sched.FutureTask) (*sched.Strand, error) {
 	if st.strands[id] != nil {
 		return nil, fmt.Errorf("replay: event %d: strand %d introduced twice", i, id)
 	}
@@ -177,15 +208,24 @@ func (st *sliceStore) intro(i int, id uint64, f *sched.FutureTask) (*sched.Stran
 	return s, nil
 }
 
-func (st *sliceStore) needFut(i, id int) (*sched.FutureTask, error) {
-	if id < 0 || id >= len(st.futs) || st.futs[id] == nil {
+func (st *idStore) needFut(i, id int) (*sched.FutureTask, error) {
+	f := st.futs[id]
+	if f == nil {
 		return nil, fmt.Errorf("replay: event %d: future %d referenced before creation", i, id)
 	}
-	return st.futs[id], nil
+	return f, nil
 }
 
-func (st *sliceStore) introFut(i, id int, parent *sched.FutureTask) (*sched.FutureTask, error) {
-	if id < 0 || id >= len(st.futs) || st.futs[id] != nil {
+// maxFutureSkew bounds how far a created future's ID may run ahead of
+// the futures introduced so far. The engine numbers futures densely and
+// the recorder writes a create only after its ID is assigned, so a gap
+// comes only from creates in flight on other workers at that moment.
+// Every gp/cp bitmap is sized by a future ID; the bound keeps a corrupt
+// ID from sizing one beyond the data read.
+const maxFutureSkew = 1 << 12
+
+func (st *idStore) introFut(i, id int, parent *sched.FutureTask) (*sched.FutureTask, error) {
+	if id < 0 || id > len(st.futs)+maxFutureSkew || st.futs[id] != nil {
 		return nil, fmt.Errorf("replay: event %d: future %d out of range or created twice", i, id)
 	}
 	f := &sched.FutureTask{ID: id, Parent: parent}
@@ -194,9 +234,8 @@ func (st *sliceStore) introFut(i, id int, parent *sched.FutureTask) (*sched.Futu
 }
 
 // applyEvent validates one structure event against the store and feeds
-// it to the tracer — the single rebuild event switch shared by the
-// barriered, parallel-verification and streaming paths.
-func applyEvent(store dagStore, r sched.Tracer, i int, ev *trace.Event) error {
+// it to the tracer — the single rebuild event switch.
+func applyEvent(store *idStore, r sched.Tracer, i int, ev *trace.Event) error {
 	switch ev.Op {
 	case trace.OpRoot:
 		if i != 0 {
@@ -307,113 +346,172 @@ func applyEvent(store dagStore, r sched.Tracer, i int, ev *trace.Event) error {
 	return nil
 }
 
-// rebuild replays the structure events through a fresh Reach,
-// reconstructing strand and future identities. It returns the synthetic
-// strands so detection can hand them to Precedes.
-func rebuild(c *trace.Capture, r *core.Reach) ([]*sched.Strand, error) {
-	// Dense-ID sanity: a structurally consistent capture introduces at
-	// most 3 strands and 1 future per event. Bounds the allocation on
-	// adversarial inputs before trusting the decoded maxima.
-	if c.Strands > 3*uint64(len(c.Events))+1 || uint64(c.Futures) > uint64(len(c.Events))+1 {
-		return nil, fmt.Errorf("replay: capture names %d strands/%d futures across %d events (corrupt capture)",
-			c.Strands, c.Futures, len(c.Events))
-	}
-	store := &sliceStore{
-		strands: make([]*sched.Strand, c.Strands),
-		futs:    make([]*sched.FutureTask, c.Futures),
-	}
-	for i := range c.Events {
-		if err := applyEvent(store, r, i, &c.Events[i]); err != nil {
-			return nil, err
-		}
-	}
-	return store.strands, nil
-}
-
-// wloc is one location's shadow state inside a worker's private shard.
-type wloc struct {
-	lastWriter *sched.Strand
-	readers    []*sched.Strand
-}
-
-// memoBits sizes the per-worker direct-mapped Precedes memo.
+// memoBits sizes the per-shard direct-mapped Precedes memo.
 const memoBits = 14
 
-// worker is one detection shard: private shadow state, private memo,
-// private results. Nothing here is touched by any other goroutine.
-type worker struct {
-	id      int
-	locs    map[uint64]*wloc
+// shard is one detection worker: a private access history over the
+// addresses it owns, and the memo its history queries reachability
+// through. Nothing here is touched by any other goroutine.
+type shard struct {
+	reach   *core.Reach
+	hist    *detect.History
 	memoU   []uint64 // key: u.ID+1 (0 = empty)
 	memoV   []uint64 // key: v.ID
 	memoOK  []bool
-	races   []detect.Race
-	racy    map[uint64]bool
-	count   uint64
 	queries uint64
 	entries uint64
 }
 
-func (w *worker) precedes(r *core.Reach, u, v *sched.Strand) bool {
-	i := (u.ID*0x9e3779b97f4a7c15 ^ v.ID*0xc2b2ae3d27d4eb4f) >> (64 - memoBits)
-	if w.memoU[i] == u.ID+1 && w.memoV[i] == v.ID {
-		return w.memoOK[i]
+func newShard(reach *core.Reach, dedup bool) *shard {
+	sh := &shard{
+		reach:  reach,
+		memoU:  make([]uint64, 1<<memoBits),
+		memoV:  make([]uint64, 1<<memoBits),
+		memoOK: make([]bool, 1<<memoBits),
 	}
-	w.queries++
-	ok := r.PrecedesUncounted(u, v)
-	w.memoU[i], w.memoV[i], w.memoOK[i] = u.ID+1, v.ID, ok
+	// The locked history path (FastPath off) applies each entry as it
+	// arrives; the cap is lifted so the merge sorts before it caps.
+	sh.hist = detect.NewHistory(detect.Options{Reach: sh, MaxRaces: math.MaxInt, DedupByAddr: dedup})
+	return sh
+}
+
+// Precedes implements detect.Reachability for the shard's history. A
+// verdict for a fixed pair never changes once both strands are placed,
+// so it is memoized.
+func (sh *shard) Precedes(u, v *sched.Strand) bool {
+	i := (u.ID*0x9e3779b97f4a7c15 ^ v.ID*0xc2b2ae3d27d4eb4f) >> (64 - memoBits)
+	if sh.memoU[i] == u.ID+1 && sh.memoV[i] == v.ID {
+		return sh.memoOK[i]
+	}
+	sh.queries++
+	ok := sh.reach.PrecedesUncounted(u, v)
+	sh.memoU[i], sh.memoV[i], sh.memoOK[i] = u.ID+1, v.ID, ok
 	return ok
 }
 
-func (w *worker) report(addr uint64, prev *sched.Strand, prevKind detect.AccessKind, cur *sched.Strand, curKind detect.AccessKind, dedup bool) {
-	w.count++
-	if w.racy[addr] {
-		if dedup {
+func (sh *shard) apply(pt part) {
+	sh.entries += uint64(len(pt.addrs))
+	for j, addr := range pt.addrs {
+		if pt.kinds[j] == detect.AccessRead {
+			sh.hist.Read(pt.s, addr)
+		} else {
+			sh.hist.Write(pt.s, addr)
+		}
+	}
+}
+
+// inflight is one source block between the loader and the shards.
+// parts counts its per-shard parts not yet applied; the shard applying
+// the last one releases the block, and the record — with the buffers
+// its parts were routed into — is reused for a later block.
+type inflight struct {
+	parts atomic.Int32
+	bytes int64
+	addrs []uint64
+	kinds []detect.AccessKind
+}
+
+// part is the slice of one source block owned by one shard.
+type part struct {
+	blk   *inflight
+	shard int
+	s     *sched.Strand
+	addrs []uint64
+	kinds []detect.AccessKind
+}
+
+// router splits blocks into per-shard parts. Its scratch buffers are
+// the loader's; the parts' backing arrays belong to the block's
+// inflight record, since shards read them after the loader has moved
+// on. Released records come back through free.
+type router struct {
+	p      int
+	owner  []int32
+	cursor []int
+	parts  []part
+	free   chan *inflight
+}
+
+// take returns a released inflight record, or a new one.
+func (rt *router) take() *inflight {
+	select {
+	case blk := <-rt.free:
+		return blk
+	default:
+		return new(inflight)
+	}
+}
+
+// route partitions a block's entries by owning shard, preserving file
+// order within each shard, and returns the non-empty parts: each entry
+// lands in exactly one part, the one ShardOf assigns it to.
+func (rt *router) route(blk *inflight, s *sched.Strand, addrs []uint64, kinds []detect.AccessKind) []part {
+	rt.parts = rt.parts[:0]
+	if len(addrs) == 0 {
+		return rt.parts
+	}
+	if rt.p == 1 {
+		return append(rt.parts, part{blk: blk, s: s, addrs: addrs, kinds: kinds})
+	}
+	if cap(rt.owner) < len(addrs) {
+		rt.owner = make([]int32, len(addrs))
+	}
+	owner := rt.owner[:len(addrs)]
+	clear(rt.cursor)
+	for j, addr := range addrs {
+		o := ShardOf(addr, rt.p)
+		owner[j] = int32(o)
+		rt.cursor[o]++
+	}
+	// Counting sort: cursors start at each shard's offset and end at
+	// the next shard's.
+	off := 0
+	for i, n := range rt.cursor {
+		rt.cursor[i] = off
+		off += n
+	}
+	if cap(blk.addrs) < len(addrs) {
+		blk.addrs = make([]uint64, len(addrs))
+		blk.kinds = make([]detect.AccessKind, len(addrs))
+	}
+	outA, outK := blk.addrs[:len(addrs)], blk.kinds[:len(addrs)]
+	for j, o := range owner {
+		k := rt.cursor[o]
+		outA[k], outK[k] = addrs[j], kinds[j]
+		rt.cursor[o]++
+	}
+	lo := 0
+	for i, hi := range rt.cursor {
+		if lo < hi {
+			rt.parts = append(rt.parts, part{blk: blk, shard: i, s: s, addrs: outA[lo:hi], kinds: outK[lo:hi]})
+		}
+		lo = hi
+	}
+	return rt.parts
+}
+
+// maxTo raises peak to at least v.
+func maxTo(peak *atomic.Int64, v int64) {
+	for {
+		cur := peak.Load()
+		if v <= cur || peak.CompareAndSwap(cur, v) {
 			return
 		}
-	} else {
-		w.racy[addr] = true
 	}
-	w.races = append(w.races, detect.Race{
-		Addr:       addr,
-		PrevStrand: prev.ID,
-		CurStrand:  cur.ID,
-		PrevFuture: prev.Fut.ID,
-		CurFuture:  cur.Fut.ID,
-		Prev:       prevKind,
-		Cur:        curKind,
-	})
 }
 
-// apply runs the online history's per-location algorithm (ReadersAll
-// policy) on the worker's private shard.
-func (w *worker) apply(r *core.Reach, s *sched.Strand, addr uint64, kind detect.AccessKind, dedup bool) {
-	w.entries++
-	l := w.locs[addr]
-	if l == nil {
-		l = &wloc{}
-		w.locs[addr] = l
-	}
-	if lw := l.lastWriter; lw != nil && lw != s && !w.precedes(r, lw, s) {
-		w.report(addr, lw, detect.AccessWrite, s, kind, dedup)
-	}
-	if kind == detect.AccessRead {
-		if n := len(l.readers); n == 0 || l.readers[n-1] != s {
-			l.readers = append(l.readers, s)
-		}
-		return
-	}
-	for _, rd := range l.readers {
-		if rd != s && !w.precedes(r, rd, s) {
-			w.report(addr, rd, detect.AccessRead, s, detect.AccessWrite, dedup)
-		}
-	}
-	l.readers = l.readers[:0]
-	l.lastWriter = s
-}
-
-// Run replays a capture and returns the offline detection result.
-func Run(c *trace.Capture, opts Options) (*Result, error) {
+// run is the replay pipeline over one source.
+//
+// Soundness is the order argument carried by the queues: the source
+// yields every structure event before any block that depends on it, the
+// loader applies each event before routing any later block, and a
+// channel send happens-before its receive — so by the time a shard
+// queries Precedes(u, v) for a block's strand, every label and bitmap
+// the query reads is already published and immutable (labels are frozen
+// at construction; a strand's gp is set before the first block naming
+// it; OM label words are seqlock-validated optimistic reads designed for
+// exactly this concurrency).
+func run(src source, opts Options) (*Result, error) {
 	p := opts.Workers
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
@@ -422,111 +520,130 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 	if maxRaces == 0 {
 		maxRaces = 256
 	}
-	rw := opts.RebuildWorkers
-	// The precomputed-table path needs a label substrate: an OM list is
-	// one mutable structure that must be built in event order, so OM
-	// falls back to the serial rebuild regardless of RebuildWorkers.
-	parallelRebuild := rw > 1 && (opts.Reach == core.SubstrateDePa || opts.Reach == core.SubstrateHybrid)
-	if !parallelRebuild {
-		rw = 1
-	}
-
-	rebuildStart := time.Now()
-	var (
-		reach   *core.Reach
-		strands []*sched.Strand
-		rinfo   *rebuildInfo
-		err     error
-	)
-	if parallelRebuild {
-		strands, reach, rinfo, err = rebuildParallel(c, opts, rw)
-	} else {
-		reach = core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth})
-		strands, err = rebuild(c, reach)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rebuildElapsed := time.Since(rebuildStart)
+	reach := core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth})
 	if opts.Stats != nil {
 		reach.RegisterStats(opts.Stats)
 	}
 
-	// Pre-check block strand references once, so workers can index
-	// without validating.
-	for _, b := range c.Blocks {
-		if b.Strand >= uint64(len(strands)) || strands[b.Strand] == nil {
-			return nil, fmt.Errorf("replay: access block names unknown strand %d", b.Strand)
-		}
+	// Backpressure: the loader takes a slot per routed block and the
+	// shard applying its last part gives it back, so at most `limit`
+	// blocks are routed and unfinished. Each holds at most one part per
+	// shard, so a shard queue of `limit` never blocks the loader.
+	limit := StreamQueueCap + p
+	slots := make(chan struct{}, limit)
+	var inBlocks, inBytes, peakBlocks, peakBytes atomic.Int64
+	rt := &router{p: p, cursor: make([]int, p), free: make(chan *inflight, limit+1)}
+	release := func(blk *inflight) {
+		inBlocks.Add(-1)
+		inBytes.Add(-blk.bytes)
+		rt.free <- blk // never blocks: at most limit+1 records exist
+		<-slots
 	}
-
-	detectStart := time.Now()
-	workers := make([]*worker, p)
+	shards := make([]*shard, p)
+	queues := make([]chan part, p)
 	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		w := newWorker(i)
-		workers[i] = w
+	for i := range shards {
+		sh := newShard(reach, opts.DedupByAddr)
+		q := make(chan part, limit)
+		shards[i], queues[i] = sh, q
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker scans the whole (read-only) capture and applies
-			// only its own shard's entries: no partitioning pass, no
-			// queues, no synchronization on the hot loop.
-			for _, b := range c.Blocks {
-				s := strands[b.Strand]
-				for j, addr := range b.Addrs {
-					if ShardOf(addr, p) != w.id {
-						continue
-					}
-					w.apply(reach, s, addr, b.Kinds[j], opts.DedupByAddr)
+			for pt := range q {
+				sh.apply(pt)
+				if pt.blk.parts.Add(-1) == 0 {
+					release(pt.blk)
 				}
 			}
 		}()
 	}
+
+	// The loader stops at the first error; the trailer check inside a
+	// trace.Stream means a clean io.EOF is a complete, verified capture.
+	store := &idStore{strands: map[uint64]*sched.Strand{}, futs: map[int]*sched.FutureTask{}}
+	start := time.Now()
+	var rebuild time.Duration
+	var loadErr error
+	events := 0
+	for {
+		ev, blk, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			loadErr = err
+			break
+		}
+		if ev != nil {
+			t0 := time.Now()
+			loadErr = applyEvent(store, reach, events, ev)
+			rebuild += time.Since(t0)
+			if loadErr != nil {
+				break
+			}
+			events++
+			continue
+		}
+		s := store.strands[blk.Strand]
+		if s == nil {
+			loadErr = fmt.Errorf("replay: access block names unknown strand %d", blk.Strand)
+			break
+		}
+		in := rt.take()
+		in.bytes = int64(len(blk.Addrs))*9 + 64
+		maxTo(&peakBlocks, inBlocks.Add(1))
+		maxTo(&peakBytes, inBytes.Add(in.bytes))
+		slots <- struct{}{}
+		parts := rt.route(in, s, blk.Addrs, blk.Kinds)
+		if len(parts) == 0 {
+			release(in)
+			continue
+		}
+		in.parts.Store(int32(len(parts)))
+		for _, pt := range parts {
+			queues[pt.shard] <- pt
+		}
+	}
+	for _, q := range queues {
+		close(q)
+	}
 	wg.Wait()
-	detectElapsed := time.Since(detectStart)
+	if loadErr != nil {
+		return nil, loadErr
+	}
 
 	res := &Result{
-		Strands:         c.Strands,
-		Futures:         uint64(c.Futures),
-		Events:          uint64(len(c.Events)),
-		Entries:         c.Entries,
-		Shards:          p,
-		Rebuild:         rebuildElapsed,
-		Detect:          detectElapsed,
-		RebuildWorkers:  rw,
-		RebuildParallel: parallelRebuild,
+		Strands:          src.Strands(),
+		Futures:          uint64(src.Futures()),
+		Events:           src.Events(),
+		Entries:          src.Entries(),
+		Shards:           p,
+		Rebuild:          rebuild,
+		Detect:           time.Since(start),
+		StreamPeakBlocks: peakBlocks.Load(),
+		StreamPeakBytes:  peakBytes.Load(),
 	}
-	if rinfo != nil {
-		res.RebuildLabels = rinfo.labels
-		res.RebuildWork = rinfo.totalWork
-		res.RebuildMaxSegment = rinfo.maxSegment
-	}
-	mergeWorkers(res, workers, maxRaces)
+	merge(res, shards, maxRaces)
 	res.ReachMemBytes = reach.MemBytes()
-
 	if opts.Stats != nil {
-		registerStats(opts.Stats, res, int64(len(c.Blocks)), c.Bytes)
+		registerStats(opts.Stats, res, int64(src.Blocks()), src.Bytes())
 	}
 	return res, nil
 }
 
-// mergeWorkers folds the per-shard results into res deterministically:
-// the per-worker orders depend only on file order, so sorting by (addr,
+// merge folds the per-shard results into res deterministically: each
+// shard's reports depend only on file order, so sorting by (addr,
 // strand pair, kinds) makes the final report independent of worker
 // interleaving and worker count. Sets res.Merge.
-func mergeWorkers(res *Result, workers []*worker, maxRaces int) {
+func merge(res *Result, shards []*shard, maxRaces int) {
 	mergeStart := time.Now()
-	for _, w := range workers {
-		res.RaceCount += w.count
-		res.Queries += w.queries
-		if w.entries > res.MaxShardEntries {
-			res.MaxShardEntries = w.entries
-		}
-		res.Races = append(res.Races, w.races...)
-		for a := range w.racy {
-			res.RacyAddrs = append(res.RacyAddrs, a)
-		}
+	for _, sh := range shards {
+		res.RaceCount += sh.hist.RaceCount()
+		res.Queries += sh.queries
+		res.ShardEntries = append(res.ShardEntries, sh.entries)
+		res.MaxShardEntries = max(res.MaxShardEntries, sh.entries)
+		res.Races = append(res.Races, sh.hist.Races()...)
+		res.RacyAddrs = append(res.RacyAddrs, sh.hist.RacyAddrs()...)
 	}
 	sort.Slice(res.Races, func(i, j int) bool {
 		a, b := res.Races[i], res.Races[j]
@@ -548,56 +665,25 @@ func mergeWorkers(res *Result, workers []*worker, maxRaces int) {
 	res.Merge = time.Since(mergeStart)
 }
 
-// newWorker allocates one detection shard.
-func newWorker(id int) *worker {
-	return &worker{
-		id:     id,
-		locs:   map[uint64]*wloc{},
-		memoU:  make([]uint64, 1<<memoBits),
-		memoV:  make([]uint64, 1<<memoBits),
-		memoOK: make([]bool, 1<<memoBits),
-		racy:   map[uint64]bool{},
-	}
-}
-
 // registerStats publishes the replay.* gauges for a completed run.
 func registerStats(reg *obsv.Registry, res *Result, blocks, bytes int64) {
-	streamed := int64(0)
-	wall := res.Rebuild + res.Detect + res.Merge
-	if res.Streamed {
-		streamed = 1
-		// Streamed Detect is the full pipeline wall and already
-		// contains the (overlapped) rebuild time.
-		wall = res.Detect + res.Merge
-	}
-	parallel := int64(0)
-	if res.RebuildParallel {
-		parallel = 1
-	}
 	vals := map[string]int64{
-		"replay.events":              int64(res.Events),
-		"replay.entries":             int64(res.Entries),
-		"replay.blocks":              blocks,
-		"replay.shards":              int64(res.Shards),
-		"replay.max_shard_entries":   int64(res.MaxShardEntries),
-		"replay.bytes":               bytes,
-		"replay.wall_ns":             int64(wall),
-		"replay.rebuild_ns":          int64(res.Rebuild),
-		"replay.detect_ns":           int64(res.Detect),
-		"replay.merge_ns":            int64(res.Merge),
-		"replay.queries":             int64(res.Queries),
-		"replay.races":               int64(res.RaceCount),
-		"replay.rebuild_workers":     int64(res.RebuildWorkers),
-		"replay.rebuild_parallel":    parallel,
-		"replay.rebuild_labels":      int64(res.RebuildLabels),
-		"replay.rebuild_work":        int64(res.RebuildWork),
-		"replay.rebuild_max_segment": int64(res.RebuildMaxSegment),
-		"replay.streamed":            streamed,
-		"replay.stream_peak_blocks":  res.StreamPeakBlocks,
-		"replay.stream_peak_bytes":   res.StreamPeakBytes,
+		"replay.events":             int64(res.Events),
+		"replay.entries":            int64(res.Entries),
+		"replay.blocks":             blocks,
+		"replay.shards":             int64(res.Shards),
+		"replay.max_shard_entries":  int64(res.MaxShardEntries),
+		"replay.bytes":              bytes,
+		"replay.wall_ns":            int64(res.Detect + res.Merge),
+		"replay.rebuild_ns":         int64(res.Rebuild),
+		"replay.detect_ns":          int64(res.Detect),
+		"replay.merge_ns":           int64(res.Merge),
+		"replay.queries":            int64(res.Queries),
+		"replay.races":              int64(res.RaceCount),
+		"replay.stream_peak_blocks": res.StreamPeakBlocks,
+		"replay.stream_peak_bytes":  res.StreamPeakBytes,
 	}
 	for name, v := range vals {
-		v := v
 		reg.RegisterFunc(name, func() int64 { return v })
 	}
 }

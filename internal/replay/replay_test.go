@@ -2,6 +2,10 @@ package replay_test
 
 import (
 	"bytes"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -278,7 +282,8 @@ func TestReplayWorkloads(t *testing.T) {
 }
 
 // TestReplayGauges: a Stats registry passed to replay carries the
-// replay.* gauges afterwards.
+// replay.* gauges afterwards, and README's record & replay section
+// names exactly the replay.* gauges the registry exports.
 func TestReplayGauges(t *testing.T) {
 	p := progen.New(progen.Config{Seed: 3, MaxDepth: 4, MaxOps: 7})
 	c, _ := record(t, p.Main(), 1)
@@ -299,30 +304,81 @@ func TestReplayGauges(t *testing.T) {
 	if snap["replay.bytes"] != c.Bytes || snap["replay.bytes"] == 0 {
 		t.Fatalf("replay.bytes %d, capture has %d", snap["replay.bytes"], c.Bytes)
 	}
+
+	var exported []string
+	for name := range snap {
+		if strings.HasPrefix(name, "replay.") {
+			exported = append(exported, name)
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := regexp.MustCompile(`replay\.[a-z_]+`).FindAllString(string(readme), -1)
+	slices.Sort(exported)
+	slices.Sort(documented)
+	documented = slices.Compact(documented)
+	if !slices.Equal(exported, documented) {
+		t.Fatalf("README names replay gauges %v, registry exports %v", documented, exported)
+	}
 }
 
-// TestReplayRejectsCorrupt: structurally inconsistent captures error out
-// of the rebuild instead of panicking or mis-replaying.
-func TestReplayRejectsCorrupt(t *testing.T) {
-	// Craft captures by driving the recorder with synthetic strands.
-	mk := func(drive func(*trace.Recorder)) *trace.Capture {
+// TestRouteOnce: every access entry is applied by exactly one shard —
+// the one that owns its address — at every worker count.
+func TestRouteOnce(t *testing.T) {
+	b := workload.ByName("sort", workload.ScaleTest)
+	c, _ := record(t, b.Make().Main, 1)
+	for _, p := range []int{1, 2, 4} {
+		owned := make([]uint64, p)
+		for _, blk := range c.Blocks {
+			for _, addr := range blk.Addrs {
+				owned[replay.ShardOf(addr, p)]++
+			}
+		}
+		res, err := replay.Run(c, replay.Options{Workers: p, Reach: core.SubstrateDePa})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum uint64
+		for _, n := range res.ShardEntries {
+			sum += n
+		}
+		if sum != res.Entries || res.Entries != c.Entries {
+			t.Fatalf("%d shards applied %d entries, capture has %d", p, sum, c.Entries)
+		}
+		if !slices.Equal(res.ShardEntries, owned) {
+			t.Fatalf("%d shards applied %v entries, they own %v", p, res.ShardEntries, owned)
+		}
+	}
+}
+
+// corruptCaptures crafts structurally inconsistent captures by driving
+// the recorder with synthetic strands. Each one decodes (trace.Load
+// accepts it) but cannot be rebuilt.
+func corruptCaptures(t *testing.T) map[string][]byte {
+	t.Helper()
+	mk := func(drive func(*trace.Recorder)) []byte {
 		var buf bytes.Buffer
 		rec := trace.NewRecorder(&buf)
 		drive(rec)
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		c, err := trace.Load(&buf)
-		if err != nil {
+		if _, err := trace.Load(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		return c
+		return buf.Bytes()
 	}
 	f0 := &sched.FutureTask{ID: 0}
 	s := func(id uint64) *sched.Strand { return &sched.Strand{ID: id, Fut: f0} }
-	cases := map[string]*trace.Capture{
+	return map[string][]byte{
 		"no root": mk(func(r *trace.Recorder) {
 			r.OnSpawn(s(0), s(1), s(2), nil)
+		}),
+		"second root": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			r.OnRoot(s(1))
 		}),
 		"unknown strand": mk(func(r *trace.Recorder) {
 			r.OnRoot(s(0))
@@ -333,16 +389,73 @@ func TestReplayRejectsCorrupt(t *testing.T) {
 			r.OnSpawn(s(0), s(1), s(2), nil)
 			r.OnSpawn(s(0), s(1), s(2), nil)
 		}),
+		"self spawn": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			r.OnSpawn(s(0), s(0), s(1), nil)
+		}),
+		"sync of unplaced strand": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			r.OnSpawn(s(0), s(1), s(2), nil)
+			r.OnSync(s(2), s(9), []*sched.Strand{s(1)})
+		}),
+		"sync of unknown sink": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			r.OnSpawn(s(0), s(1), s(2), s(3))
+			r.OnSync(s(2), s(3), []*sched.Strand{s(7)})
+		}),
+		"create under unknown future": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			f2 := &sched.FutureTask{ID: 2, Parent: &sched.FutureTask{ID: 5}}
+			r.OnCreate(s(0), &sched.Strand{ID: 1, Fut: f2}, s(2), nil, f2)
+		}),
+		"future created twice": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			f1 := &sched.FutureTask{ID: 1, Parent: f0}
+			r.OnCreate(s(0), &sched.Strand{ID: 1, Fut: f1}, s(2), nil, f1)
+			r.OnCreate(s(2), &sched.Strand{ID: 3, Fut: f1}, s(4), nil, f1)
+		}),
+		"future id far ahead": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			f := &sched.FutureTask{ID: 1 << 40, Parent: f0}
+			r.OnCreate(s(0), &sched.Strand{ID: 1, Fut: f}, s(2), nil, f)
+			r.OnPut(s(1), f)
+			r.OnGet(s(2), s(3), f) // would size a gp bitmap by the id
+		}),
+		"put of unknown future": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			r.OnPut(s(0), &sched.FutureTask{ID: 3})
+		}),
 		"get before put": mk(func(r *trace.Recorder) {
 			r.OnRoot(s(0))
 			f1 := &sched.FutureTask{ID: 1, Parent: f0}
 			r.OnCreate(s(0), &sched.Strand{ID: 1, Fut: f1}, s(2), s(3), f1)
 			r.OnGet(s(2), s(4), f1)
 		}),
+		"block of unintroduced strand": mk(func(r *trace.Recorder) {
+			r.OnRoot(s(0))
+			r.OnSpawn(s(0), s(1), s(6), nil) // declares ids up to 6
+			r.TapAccesses(s(4), []uint64{1}, []detect.AccessKind{detect.AccessWrite})
+		}),
 	}
-	for name, c := range cases {
-		if _, err := replay.Run(c, replay.Options{Workers: 1}); err == nil {
-			t.Errorf("%s: accepted", name)
+}
+
+// TestReplayRejectsCorrupt: structurally inconsistent captures error out
+// of the rebuild, from both sources, instead of panicking or
+// mis-replaying.
+func TestReplayRejectsCorrupt(t *testing.T) {
+	for name, raw := range corruptCaptures(t) {
+		c, err := trace.Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			opts := replay.Options{Workers: workers, Reach: core.SubstrateDePa}
+			if _, err := replay.Run(c, opts); err == nil {
+				t.Errorf("%s: Run accepted at %d workers", name, workers)
+			}
+			if _, err := replay.RunStream(bytes.NewReader(raw), opts); err == nil {
+				t.Errorf("%s: RunStream accepted at %d workers", name, workers)
+			}
 		}
 	}
 }

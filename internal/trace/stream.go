@@ -147,8 +147,12 @@ func (s *Stream) Next() (ev *Event, blk *AccessBlock, err error) {
 		}
 		n := s.uv()
 		if s.err == nil {
+			// Sized from the declared count, capped so a corrupt count
+			// cannot allocate ahead of the data actually read.
 			nb := (n + 7) / 8
 			bits := make([]byte, 0, min(nb, 1<<16))
+			b.Addrs = make([]uint64, 0, min(n, 1<<16))
+			b.Kinds = make([]detect.AccessKind, 0, min(n, 1<<16))
 			for i := uint64(0); i < nb && s.err == nil; i++ {
 				var kb byte
 				kb, s.err = s.br.ReadByte()

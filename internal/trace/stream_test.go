@@ -141,98 +141,3 @@ func TestLoadBlockAfterIntroduction(t *testing.T) {
 		t.Fatalf("strands %d entries %d, want 4/1", c.Strands, c.Entries)
 	}
 }
-
-// TestIndexRoundTrip: the path index of a genuine capture covers every
-// strand, is topologically ordered, and agrees with the events on
-// parentage and futures.
-func TestIndexRoundTrip(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		raw, counts := record(t, seed)
-		c, err := trace.Load(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := c.Index()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if uint64(len(idx.Order)) != counts.Strands {
-			t.Fatalf("seed %d: indexed %d strands, engine ran %d", seed, len(idx.Order), counts.Strands)
-		}
-		for j, id := range idx.Order {
-			if idx.Pos[id] != int32(j) {
-				t.Fatalf("seed %d: Pos[%d] = %d, want %d", seed, id, idx.Pos[id], j)
-			}
-			if p := idx.Parent[j]; p >= int32(j) {
-				t.Fatalf("seed %d: strand at %d has parent at %d (not topological)", seed, j, p)
-			} else if p < 0 && idx.Role[j] != trace.RoleRoot {
-				t.Fatalf("seed %d: non-root strand at %d has no parent", seed, j)
-			}
-			if f := idx.Fut[j]; f < 0 || int(f) >= c.Futures {
-				t.Fatalf("seed %d: strand at %d has future %d of %d", seed, j, f, c.Futures)
-			}
-		}
-		if idx.Role[0] != trace.RoleRoot {
-			t.Fatalf("seed %d: first introduction is %v, want root", seed, idx.Role[0])
-		}
-		for fid, parent := range idx.FutParent {
-			if fid == 0 && parent != -1 {
-				t.Fatalf("seed %d: root future has parent %d", seed, parent)
-			}
-			if fid > 0 && (parent < 0 || int(parent) >= c.Futures) {
-				t.Fatalf("seed %d: future %d has parent %d of %d", seed, fid, parent, c.Futures)
-			}
-		}
-	}
-}
-
-// TestIndexRejectsCorrupt: the index pass rejects the structural
-// corruptions the serial rebuild rejects, plus the sync-names-unplaced-
-// strand case (which the serial path could only hit as a panic).
-func TestIndexRejectsCorrupt(t *testing.T) {
-	f0 := &sched.FutureTask{ID: 0}
-	s := func(id uint64) *sched.Strand { return &sched.Strand{ID: id, Fut: f0} }
-	mk := func(drive func(*trace.Recorder)) *trace.Capture {
-		var buf bytes.Buffer
-		rec := trace.NewRecorder(&buf)
-		drive(rec)
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
-		c, err := trace.Load(&buf)
-		if err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		return c
-	}
-	cases := map[string]*trace.Capture{
-		"no root": mk(func(r *trace.Recorder) {
-			r.OnSpawn(s(0), s(1), s(2), nil)
-		}),
-		"unknown strand": mk(func(r *trace.Recorder) {
-			r.OnRoot(s(0))
-			r.OnSpawn(s(5), s(1), s(2), nil)
-		}),
-		"double introduction": mk(func(r *trace.Recorder) {
-			r.OnRoot(s(0))
-			r.OnSpawn(s(0), s(1), s(2), nil)
-			r.OnSpawn(s(0), s(1), s(2), nil)
-		}),
-		"sync of unplaced strand": mk(func(r *trace.Recorder) {
-			r.OnRoot(s(0))
-			r.OnSpawn(s(0), s(1), s(2), nil)
-			r.OnSync(s(2), s(9), []*sched.Strand{s(1)})
-		}),
-		"get before put": mk(func(r *trace.Recorder) {
-			r.OnRoot(s(0))
-			f1 := &sched.FutureTask{ID: 1, Parent: f0}
-			r.OnCreate(s(0), &sched.Strand{ID: 1, Fut: f1}, s(2), s(3), f1)
-			r.OnGet(s(2), s(4), f1)
-		}),
-	}
-	for name, c := range cases {
-		if _, err := c.Index(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}

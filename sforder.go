@@ -379,21 +379,6 @@ type ReplayConfig struct {
 	// count; addresses are hash-partitioned so each location's history
 	// lives wholly in one shard.
 	Workers int
-	// RebuildWorkers parallelizes the dag rebuild itself when above 1:
-	// the strand forest is partitioned into independent segments and
-	// the immutable fork-path labels are constructed concurrently (no
-	// order-maintenance list, no locks). Label substrates only
-	// (ReachDePa/ReachHybrid); the OM backend rebuilds serially.
-	// Ignored under Streaming, where the rebuild is the pipeline's
-	// producer stage.
-	RebuildWorkers int
-	// Streaming replays directly from the byte stream: structure
-	// events are applied and access blocks dispatched to the detection
-	// shards as they are decoded, through a bounded ready-queue — the
-	// capture is never loaded into memory, so arbitrarily long traces
-	// replay in constant resident space. The verdict is identical to
-	// the barriered replay.
-	Streaming bool
 	// Reach selects the reachability substrate the dag is rebuilt on.
 	// ReachDePa and ReachHybrid are natural offline choices (immutable
 	// labels, lock-free queries); the default OM pair also works.
@@ -408,19 +393,19 @@ type ReplayConfig struct {
 // ReplayResult reports a completed offline replay.
 type ReplayResult = replay.Result
 
-// Replay loads a capture recorded via Config.Record from r, rebuilds
-// the computation dag on the selected reachability substrate, and
-// re-runs full race detection offline, with access events partitioned
-// by address hash across Workers parallel shards. The location-level
-// verdict (which addresses race) equals the online run's; the detailed
-// race list is deterministic — independent of Workers and of the
-// recorded schedule.
+// Replay streams a capture recorded via Config.Record from r: it
+// rebuilds the computation dag on the selected reachability substrate
+// while it decodes, and re-runs full race detection offline, with each
+// access routed by address hash to one of Workers parallel shards. The
+// capture is never loaded into memory, so arbitrarily long traces
+// replay in constant resident space. The location-level verdict (which
+// addresses race) equals the online run's; the detailed race list is
+// deterministic — independent of Workers and of the recorded schedule.
 func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 	opts := replay.Options{
-		Workers:        cfg.Workers,
-		RebuildWorkers: cfg.RebuildWorkers,
-		MaxRaces:       cfg.MaxRaces,
-		DedupByAddr:    cfg.DedupByAddr,
+		Workers:     cfg.Workers,
+		MaxRaces:    cfg.MaxRaces,
+		DedupByAddr: cfg.DedupByAddr,
 	}
 	switch cfg.Reach {
 	case ReachDePa:
@@ -428,18 +413,7 @@ func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 	case ReachHybrid:
 		opts.Reach = core.SubstrateHybrid
 	}
-	if cfg.Streaming {
-		res, err := replay.RunStream(r, opts)
-		if err != nil {
-			return nil, fmt.Errorf("sforder: replay: %w", err)
-		}
-		return res, nil
-	}
-	c, err := trace.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("sforder: replay: %w", err)
-	}
-	res, err := replay.Run(c, opts)
+	res, err := replay.RunStream(r, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sforder: replay: %w", err)
 	}

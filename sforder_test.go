@@ -193,9 +193,8 @@ func TestDetectorStrings(t *testing.T) {
 }
 
 // TestReplayRoundTrip records a racy run through the public API and
-// replays it through all three offline paths — barriered serial,
-// barriered with a parallel rebuild, and streamed — checking all agree
-// with the online verdict.
+// replays it on each reachability substrate, checking all agree with
+// the online verdict.
 func TestReplayRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	main := func(t *sforder.Task) {
@@ -215,11 +214,9 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for _, cfg := range []sforder.ReplayConfig{
+		{Workers: 2}, // default OM backend
 		{Workers: 2, Reach: sforder.ReachDePa},
-		{Workers: 2, RebuildWorkers: 4, Reach: sforder.ReachDePa},
-		{Workers: 2, RebuildWorkers: 4, Reach: sforder.ReachHybrid},
-		{Workers: 2, Streaming: true, Reach: sforder.ReachDePa},
-		{Workers: 2, Streaming: true}, // default OM backend streams too
+		{Workers: 2, Reach: sforder.ReachHybrid},
 	} {
 		rr, err := sforder.Replay(bytes.NewReader(raw), cfg)
 		if err != nil {
@@ -228,12 +225,6 @@ func TestReplayRoundTrip(t *testing.T) {
 		if rr.RaceCount == 0 || len(rr.RacyAddrs) != 1 || rr.RacyAddrs[0] != 3 {
 			t.Fatalf("%+v: replay verdict %d races on %v, want addr 3",
 				cfg, rr.RaceCount, rr.RacyAddrs)
-		}
-		if cfg.RebuildWorkers > 1 && !rr.RebuildParallel {
-			t.Fatalf("%+v: parallel rebuild did not engage", cfg)
-		}
-		if cfg.Streaming != rr.Streamed {
-			t.Fatalf("%+v: streamed=%v", cfg, rr.Streamed)
 		}
 	}
 }
