@@ -8,9 +8,7 @@
 //	BenchmarkAblationGpMerge      — ABL2: §3.4 merge-on-divergence vs always-merge
 //	BenchmarkAblationBitmapVsHash — ABL3: SF-Order bitmaps vs F-Order tables, reach only
 //	BenchmarkAblationFastPath     — ABL7: lock-avoiding access history on vs off
-//	BenchmarkAblationOMLock       — ABL8: fine-grained vs global OM locking × arenas vs heap
-//	BenchmarkAblationReach        — ABL10: English/Hebrew OM pair vs DePa fork-path labels
-//	BenchmarkAblationHybrid       — ABL11: prefix-sharing cords vs OM vs hybrid, worker scaling
+//	BenchmarkAblationReach        — ABL10/ABL11: English/Hebrew OM pair vs DePa cords, worker scaling
 //	BenchmarkReplayScaling        — ABL12: offline replay of recorded captures, shard scaling
 //
 // Benchmark inputs are reduced from the paper's (its testbed ran minutes
@@ -307,92 +305,18 @@ func BenchmarkAblationFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOMLock (ABL8): reachability maintenance at 4 workers
-// with the order-maintenance lists under fine-grained bucket locking vs
-// the single list-level lock. The om-lock-acquires metric is the acceptance
-// quantity: fine-grained locking must cut list-level lock acquisitions
-// by at least 2× on mm (in practice the maintenance lock is only taken
-// at bucket splits, so the drop is far larger).
-func BenchmarkAblationOMLock(b *testing.B) {
-	benches := []*workload.Benchmark{
-		workload.MM(64, 16),
-		workload.HW(4, 16, 256),
-		workload.Sort(20_000, 512),
-	}
-	for _, bench := range benches {
-		bench := bench
-		for _, v := range []struct {
-			name   string
-			global bool
-		}{
-			{"fine-arena", false},
-			{"global-arena", true},
-		} {
-			v := v
-			b.Run(bench.Name+"/"+v.name, func(b *testing.B) {
-				res := measure(b, bench, harness.Config{
-					Detector: harness.SFOrder, Mode: harness.Reach, Workers: 4,
-					OMGlobalLock: v.global,
-					Registry:     obsv.NewRegistry(),
-				})
-				b.ReportMetric(float64(res.Stats["om.lock_acquires"]), "om-lock-acquires")
-				b.ReportMetric(float64(res.Stats["om.bucket_locks"]), "om-bucket-locks")
-				b.ReportMetric(float64(res.Stats["core.arena_bytes"]), "arena-bytes")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationReach (ABL10): the pluggable reachability substrate
-// — the English/Hebrew OM pair against DePa fork-path labels — on three
-// paper benchmarks plus the adversarial spawn spine, reach and full
-// mode at 4 workers. om-lock-acquires is the acceptance quantity: the
-// DePa substrate must report 0 (it has no maintenance lock to take),
-// while on the spine the OM substrate pays bucket splits and top-level
-// renumberings under that lock. depa-label-bytes shows the dual cost:
-// DePa labels grow one component per spawn level, so the spine maximizes
-// label memory and compare depth while the flat benchmarks barely
-// notice.
+// BenchmarkAblationReach (ABL10/ABL11): the pluggable reachability
+// substrate — the English/Hebrew OM pair against DePa prefix-sharing
+// cords — on three paper benchmarks, the adversarial spawn spine and
+// the pipeline (the Herlihy & Liu long-future-chain shape), reach and
+// full mode, across a worker-count axis (1/2/4/8). om-lock-acquires is
+// the ABL10 acceptance quantity: the DePa substrate must report 0 (it
+// has no maintenance lock to take), while on the spine the OM substrate
+// pays bucket splits and top-level renumberings under that lock.
+// depa-label-bytes is O(strands) under cords, and depa-compare-words
+// stays within a word or two of one per compare on the spine thanks to
+// the LCA skip (ABL11).
 func BenchmarkAblationReach(b *testing.B) {
-	benches := []*workload.Benchmark{
-		workload.MM(64, 16),
-		workload.HW(4, 16, 256),
-		workload.Sort(20_000, 512),
-		workload.Spine(1500, 2),
-	}
-	for _, bench := range benches {
-		bench := bench
-		for _, mode := range []harness.Mode{harness.Reach, harness.Full} {
-			mode := mode
-			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa, core.SubstrateHybrid} {
-				sub := sub
-				b.Run(fmt.Sprintf("%s/%s/%s", bench.Name, mode, sub), func(b *testing.B) {
-					res := measure(b, bench, harness.Config{
-						Detector: harness.SFOrder, Mode: mode, Workers: 4, Reach: sub,
-						Registry: obsv.NewRegistry(),
-					})
-					b.ReportMetric(float64(res.ReachMem), "reach-bytes")
-					b.ReportMetric(float64(res.Stats["om.lock_acquires"]), "om-lock-acquires")
-					b.ReportMetric(float64(res.Stats["om.english.renumbers"]+res.Stats["om.hebrew.renumbers"]), "om-renumbers")
-					b.ReportMetric(float64(res.Stats["depa.label_mem_bytes"]), "depa-label-bytes")
-					b.ReportMetric(float64(res.Stats["depa.compare_words"]), "depa-compare-words")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkAblationHybrid (ABL11): the prefix-sharing cord labels and
-// the depth-adaptive hybrid against the OM pair, full mode, across a
-// worker-count scaling axis (1/2/4/8). The workload set adds pipeline —
-// the Herlihy & Liu long-future-chain shape — whose labels run deeper
-// than any paper benchmark's; depa-label-bytes is O(strands) under
-// cords where the PR 7 flat labels paid O(strands × depth) words, and
-// depa-compare-words stays within a word or two of one compare per
-// query on the spine thanks to the LCA skip. The hybrid column shows
-// the flat fast path's overhead is bounded by the threshold: its extra
-// bytes over depa are the ≤ DefaultHybridDepth shallow flat copies.
-func BenchmarkAblationHybrid(b *testing.B) {
 	benches := []*workload.Benchmark{
 		workload.MM(64, 16),
 		workload.HW(4, 16, 256),
@@ -402,20 +326,24 @@ func BenchmarkAblationHybrid(b *testing.B) {
 	}
 	for _, bench := range benches {
 		bench := bench
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa, core.SubstrateHybrid} {
-				sub := sub
-				b.Run(fmt.Sprintf("%s/w%d/%s", bench.Name, workers, sub), func(b *testing.B) {
-					res := measure(b, bench, harness.Config{
-						Detector: harness.SFOrder, Mode: harness.Full, Workers: workers, Reach: sub,
-						Registry: obsv.NewRegistry(),
+		for _, mode := range []harness.Mode{harness.Reach, harness.Full} {
+			mode := mode
+			for _, workers := range []int{1, 2, 4, 8} {
+				workers := workers
+				for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa} {
+					sub := sub
+					b.Run(fmt.Sprintf("%s/%s/w%d/%s", bench.Name, mode, workers, sub), func(b *testing.B) {
+						res := measure(b, bench, harness.Config{
+							Detector: harness.SFOrder, Mode: mode, Workers: workers, Reach: sub,
+							Registry: obsv.NewRegistry(),
+						})
+						b.ReportMetric(float64(res.ReachMem), "reach-bytes")
+						b.ReportMetric(float64(res.Stats["om.lock_acquires"]), "om-lock-acquires")
+						b.ReportMetric(float64(res.Stats["om.english.renumbers"]+res.Stats["om.hebrew.renumbers"]), "om-renumbers")
+						b.ReportMetric(float64(res.Stats["depa.label_mem_bytes"]), "depa-label-bytes")
+						b.ReportMetric(float64(res.Stats["depa.compare_words"]), "depa-compare-words")
 					})
-					b.ReportMetric(float64(res.ReachMem), "reach-bytes")
-					b.ReportMetric(float64(res.Stats["depa.label_mem_bytes"]), "depa-label-bytes")
-					b.ReportMetric(float64(res.Stats["depa.compare_words"]), "depa-compare-words")
-					b.ReportMetric(float64(res.Stats["depa.flat_compares"]), "depa-flat-compares")
-				})
+				}
 			}
 		}
 	}

@@ -46,12 +46,11 @@ func main() {
 		traceOut      = flag.String("trace", "", "with -bench: write a Chrome trace-event JSON timeline to this file")
 		httpAddr      = flag.String("http", "", "serve /stats, /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
 		dedup         = flag.Bool("dedup", false, "with -bench: report at most one race record per address")
-		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists), depa (prefix-sharing fork-path cords, ABL10/11), or hybrid (depth-adaptive flat+cord, ABL11)")
+		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists) or depa (prefix-sharing fork-path cords, ABL10/11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
 		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: rebuild the dag and re-run detection offline, sharded by address")
 		replayWorkers = flag.Int("replayworkers", 0, "with -replay: number of parallel detection shards (0 = GOMAXPROCS)")
-		omglobal      = flag.Bool("omglobal", false, "with -bench: force SF-Order's OM lists onto the single list-level lock (ABL8)")
 	)
 	flag.Parse()
 
@@ -95,7 +94,6 @@ func main() {
 			recordOut: *record,
 			dedup:     *dedup,
 			reach:     *reachSub,
-			omglobal:  *omglobal,
 			block:     *httpAddr != "",
 		})
 	default:
@@ -155,7 +153,6 @@ type oneOpts struct {
 	recordOut string
 	dedup     bool
 	reach     string
-	omglobal  bool
 	block     bool // keep serving -http after the run completes
 }
 
@@ -245,15 +242,14 @@ func runOne(name string, sc workload.Scale, detector, mode, policy string, worke
 		fatalf("%v", err)
 	}
 	cfg := harness.Config{
-		Detector:     det,
-		Mode:         md,
-		Workers:      workers,
-		Reach:        sub,
-		Serial:       det == harness.MultiBags,
-		Policy:       pol,
-		DedupByAddr:  obs.dedup,
-		OMGlobalLock: obs.omglobal,
-		Registry:     obs.reg,
+		Detector:    det,
+		Mode:        md,
+		Workers:     workers,
+		Reach:       sub,
+		Serial:      det == harness.MultiBags,
+		Policy:      pol,
+		DedupByAddr: obs.dedup,
+		Registry:    obs.reg,
 	}
 	var traceFile *os.File
 	if obs.traceOut != "" {

@@ -30,6 +30,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -41,14 +42,11 @@ import (
 	"sforder/internal/sched"
 )
 
-// node is the SF-Order per-strand state. The first two words are the
-// substrate position, a union so the record stays at 24 bytes for
-// every backend (a size test pins it): under SubstrateOM they are the
-// English and Hebrew om.Item pointers; under SubstrateDePa p0 is the
-// cord fork-path label and p1 is nil; under SubstrateHybrid p1 holds
-// the packed flat copy for strands below the depth threshold. Only the
-// substrate that wrote a node ever reads its position, so the union
-// needs no tag.
+// node is the SF-Order per-strand state, 24 bytes (a size test pins
+// it). The first two words are the substrate position: the English and
+// Hebrew om.Item pointers under SubstrateOM; under SubstrateDePa p0 is
+// the cord fork-path label and p1 stays nil. Only the substrate that
+// wrote a node ever reads its position, so the words need no tag.
 type node struct {
 	p0, p1 unsafe.Pointer
 	gp     *bitset.Set // future IDs F with last(F) ⇝NSP here (shared)
@@ -59,10 +57,7 @@ func (n *node) setOM(eng, heb *om.Item) {
 	n.p0, n.p1 = unsafe.Pointer(eng), unsafe.Pointer(heb)
 }
 func (n *node) depaLabel() *depa.Label { return (*depa.Label)(n.p0) }
-func (n *node) depaFlat() *depa.Flat   { return (*depa.Flat)(n.p1) }
-func (n *node) setDepa(l *depa.Label, f *depa.Flat) {
-	n.p0, n.p1 = unsafe.Pointer(l), unsafe.Pointer(f)
-}
+func (n *node) setDepa(l *depa.Label)  { n.p0 = unsafe.Pointer(l) }
 
 // futMeta is the SF-Order per-future state.
 type futMeta struct {
@@ -74,18 +69,8 @@ type futMeta struct {
 // insert locking and per-worker arenas.
 type Config struct {
 	// Reach selects the reachability substrate: the English/Hebrew OM
-	// list pair (default), DePa fork-path cords (ABL10), or the
-	// depth-adaptive hybrid (ABL11).
+	// list pair (default) or DePa fork-path cords (ABL10).
 	Reach Substrate
-	// HybridDepth is the SubstrateHybrid switchover: strands below this
-	// fork depth carry a packed flat label beside the cord and compare
-	// flat-to-flat. Zero means DefaultHybridDepth. Ignored by the other
-	// substrates.
-	HybridDepth int
-	// GlobalOMLock forces both OM lists back onto the single list-level
-	// insert lock (the pre-fine-grained behavior; ABL8). Ignored by the
-	// DePa substrate, which takes no locks at all.
-	GlobalOMLock bool
 	// AlwaysMerge disables the §3.4 subsumption optimization: every
 	// multi-parent strand allocates a fresh gp union (ABL2).
 	AlwaysMerge bool
@@ -119,20 +104,18 @@ type Reach struct {
 }
 
 // New returns an empty SF-Order reachability component configured by
-// cfg, ready to be passed as the Tracer of a sched.Run.
+// cfg, ready to be passed as the Tracer of a sched.Run. It panics on an
+// invalid Substrate; the public entry points reject one with an error
+// before reaching here.
 func New(cfg Config) *Reach {
 	var sub Reachability
 	switch cfg.Reach {
+	case SubstrateOM:
+		sub = newOMPair()
 	case SubstrateDePa:
-		sub = newDepaSub(0)
-	case SubstrateHybrid:
-		hd := cfg.HybridDepth
-		if hd <= 0 {
-			hd = DefaultHybridDepth
-		}
-		sub = newDepaSub(hd)
+		sub = new(depaSub)
 	default:
-		sub = newOMPair(cfg.GlobalOMLock)
+		panic(fmt.Sprintf("core: unknown reachability substrate %v", cfg.Reach))
 	}
 	return &Reach{sub: sub, cfg: cfg, shared: new(laneAlloc)}
 }
@@ -288,40 +271,18 @@ func (r *Reach) placeGet(a *laneAlloc, u, g *sched.Strand, f *sched.FutureTask) 
 	g.Det = gn
 }
 
-// PlaceSpawn performs the combined spawn placement — both OM batch
-// inserts and the node records — drawing memory from the given worker
-// lane's arenas. A negative lane selects the mutex-guarded shared
-// fallback arena; the engine's lane dispatch (sched.LaneTracer) calls
-// the non-negative form.
-func (r *Reach) PlaceSpawn(lane int, u, child, cont, placeholder *sched.Strand) {
-	if lane < 0 {
-		a := r.lockShared()
-		r.placeBranch(a, u, child, cont, placeholder)
-		r.unlockShared()
-		return
-	}
-	r.placeBranch(r.laneFor(lane), u, child, cont, placeholder)
-}
-
-// PlaceCreate is PlaceSpawn for create events (cp bookkeeping included).
-func (r *Reach) PlaceCreate(lane int, u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
-	if lane < 0 {
-		a := r.lockShared()
-		r.placeCreate(a, u, first, cont, placeholder, f)
-		r.unlockShared()
-		return
-	}
-	r.placeCreate(r.laneFor(lane), u, first, cont, placeholder, f)
-}
-
 // OnSpawn implements sched.Tracer (the non-lane fallback path).
 func (r *Reach) OnSpawn(u, child, cont, placeholder *sched.Strand) {
-	r.PlaceSpawn(-1, u, child, cont, placeholder)
+	a := r.lockShared()
+	r.placeBranch(a, u, child, cont, placeholder)
+	r.unlockShared()
 }
 
 // OnCreate implements sched.Tracer (the non-lane fallback path).
 func (r *Reach) OnCreate(u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
-	r.PlaceCreate(-1, u, first, cont, placeholder, f)
+	a := r.lockShared()
+	r.placeCreate(a, u, first, cont, placeholder, f)
+	r.unlockShared()
 }
 
 // OnSync implements sched.Tracer (the non-lane fallback path).
@@ -467,20 +428,6 @@ func (r *Reach) RegisterStats(reg *obsv.Registry) {
 	reg.RegisterFunc("reach.set_mem_bytes", func() int64 { return r.setMem.Load() })
 	reg.RegisterFunc("reach.mem_bytes", func() int64 { return int64(r.MemBytes()) })
 	r.sub.registerStats(reg)
-	if _, ok := r.sub.(*depaSub); ok {
-		// Satellite of the label arenas: bytes stranded at word-slab
-		// tails when a flat label's slice didn't fit the remainder. Only
-		// the Reach sees all the lanes, so the gauge lives here.
-		reg.RegisterFunc("depa.slab_waste_bytes", func() int64 {
-			r.sharedMu.Lock()
-			defer r.sharedMu.Unlock()
-			var total int64
-			for _, a := range r.lanes {
-				total += a.labels.WasteBytes()
-			}
-			return total + r.shared.labels.WasteBytes()
-		})
-	}
 	reg.RegisterFunc("core.arena_bytes", r.ArenaBytes)
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"sforder/internal/core"
 	"sforder/internal/dag"
-	"sforder/internal/obsv"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
 )
@@ -40,7 +39,7 @@ func TestParseSubstrate(t *testing.T) {
 		{"om", core.SubstrateOM, false},
 		{"", core.SubstrateOM, false},
 		{"depa", core.SubstrateDePa, false},
-		{"hybrid", core.SubstrateHybrid, false},
+		{"hybrid", core.SubstrateOM, true},
 		{"interval", core.SubstrateOM, true},
 	} {
 		got, err := core.ParseSubstrate(c.in)
@@ -48,9 +47,11 @@ func TestParseSubstrate(t *testing.T) {
 			t.Errorf("ParseSubstrate(%q) = (%v, %v), want (%v, err=%v)", c.in, got, err, c.want, c.err)
 		}
 	}
-	if core.SubstrateDePa.String() != "depa" || core.SubstrateOM.String() != "om" ||
-		core.SubstrateHybrid.String() != "hybrid" {
+	if core.SubstrateDePa.String() != "depa" || core.SubstrateOM.String() != "om" {
 		t.Error("Substrate.String round trip broken")
+	}
+	if got := core.Substrate(2).String(); got != "Substrate(2)" {
+		t.Errorf("out-of-range Substrate.String() = %q, want Substrate(2)", got)
 	}
 }
 
@@ -115,111 +116,5 @@ func TestDePaMemoryAccounted(t *testing.T) {
 	})
 	if r.MemBytes() <= 0 {
 		t.Error("DePa reachability structures must account some memory")
-	}
-}
-
-// hybridCfg uses a threshold small enough that progen programs (depth
-// ≤ 4-5 forks but each spawn/create/get adds components) actually
-// cross the flat/cord boundary mid-run, exercising both compare paths
-// and the mixed flat-present/flat-absent pairs.
-func hybridCfg() core.Config {
-	return core.Config{Reach: core.SubstrateHybrid, HybridDepth: 6}
-}
-
-// TestHybridRandomProgramsSerial cross-validates the hybrid substrate
-// against the exhaustive dag closure.
-func TestHybridRandomProgramsSerial(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 7})
-		r, rec := runWithReachCfg(t, hybridCfg(), 0, true, p.Main())
-		crossValidate(t, fmt.Sprintf("hybrid-seed%d", seed), r, rec)
-	}
-}
-
-// TestHybridRandomProgramsParallel does the same under the parallel
-// engine, where label extensions race with queries across workers.
-func TestHybridRandomProgramsParallel(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 7})
-		r, rec := runWithReachCfg(t, hybridCfg(), 4, false, p.Main())
-		crossValidate(t, fmt.Sprintf("hybrid-par-seed%d", seed), r, rec)
-	}
-}
-
-// TestHybridAgreesWithBoth pins verdict equality of the hybrid against
-// both other substrates on the same serial programs — every ordered
-// strand pair, Precedes and LeftOf — so a flat/cord disagreement at
-// the threshold cannot hide behind the oracle's coarser view.
-func TestHybridAgreesWithBoth(t *testing.T) {
-	for seed := int64(50); seed < 58; seed++ {
-		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8})
-		omR, omRec := runWithReachCfg(t, core.Config{}, 0, true, p.Main())
-		dpR, dpRec := runWithReachCfg(t, core.Config{Reach: core.SubstrateDePa}, 0, true, p.Main())
-		hyR, hyRec := runWithReachCfg(t, hybridCfg(), 0, true, p.Main())
-		omS, dpS, hyS := omRec.Strands(), dpRec.Strands(), hyRec.Strands()
-		if len(omS) != len(hyS) || len(dpS) != len(hyS) {
-			t.Fatalf("seed %d: strand counts differ: %d/%d/%d", seed, len(omS), len(dpS), len(hyS))
-		}
-		for i, u := range omS {
-			for j, v := range omS {
-				if i == j {
-					continue
-				}
-				om := omR.Precedes(u, v)
-				dp := dpR.Precedes(dpS[i], dpS[j])
-				hy := hyR.Precedes(hyS[i], hyS[j])
-				if om != hy || dp != hy {
-					t.Fatalf("seed %d: Precedes(%d, %d): om=%v depa=%v hybrid=%v", seed, i, j, om, dp, hy)
-				}
-				oml := omR.LeftOf(u, v)
-				hyl := hyR.LeftOf(hyS[i], hyS[j])
-				if oml != hyl {
-					t.Fatalf("seed %d: LeftOf(%d, %d): om=%v hybrid=%v", seed, i, j, oml, hyl)
-				}
-			}
-		}
-	}
-}
-
-// TestHybridUsesBothPaths runs a program deep enough to cross
-// HybridDepth, queries every strand pair, and checks via the stats
-// gauges that some compares took the flat fast path and some fell
-// through to cords — i.e. the tests above actually covered the mix
-// they claim to.
-func TestHybridUsesBothPaths(t *testing.T) {
-	r, rec := runWithReachCfg(t, hybridCfg(), 0, true, func(t *sched.Task) {
-		var descend func(t *sched.Task, d int)
-		descend = func(t *sched.Task, d int) {
-			if d == 0 {
-				return
-			}
-			t.Spawn(func(c *sched.Task) { descend(c, d-1) })
-			t.Sync()
-		}
-		descend(t, 20)
-	})
-	strands := rec.Strands()
-	for _, u := range strands {
-		for _, v := range strands {
-			if u != v {
-				r.Precedes(u, v)
-			}
-		}
-	}
-	reg := obsv.NewRegistry()
-	r.RegisterStats(reg)
-	snap := reg.Snapshot()
-	flat, total := snap["depa.flat_compares"], snap["depa.compares"]
-	if flat == 0 {
-		t.Error("no compares took the flat fast path")
-	}
-	if total <= flat {
-		t.Errorf("no compares fell through to cords: flat=%d total=%d", flat, total)
-	}
-	if _, ok := snap["depa.chunks"]; !ok {
-		t.Error("depa.chunks gauge missing")
-	}
-	if _, ok := snap["depa.slab_waste_bytes"]; !ok {
-		t.Error("depa.slab_waste_bytes gauge missing")
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"sforder/internal/sched"
 )
 
-// runRacyCfg is runRacy with an explicit core.Config, for the ABL8 knob
-// (fine-grained vs global OM locking).
+// runRacyCfg is runRacy with an explicit core.Config, for the substrate
+// sweeps.
 func runRacyCfg(t *testing.T, p *progen.Program, ccfg core.Config, opts detect.Options) []uint64 {
 	t.Helper()
 	reach := core.New(ccfg)
@@ -23,45 +23,37 @@ func runRacyCfg(t *testing.T, p *progen.Program, ccfg core.Config, opts detect.O
 }
 
 // TestOMLockArenaMatchesOracleFuzz extends the fast-path fuzz to the
-// ABL8 lock knob: on random programs, the racy-location set must be
-// identical to the exhaustive oracle with OM locking fine-grained or
-// global (lane arenas on, as always).
+// OM pair's fine-grained insert locking with lane arenas (ABL8): on
+// random programs, the racy-location set must be identical to the
+// exhaustive oracle.
 func TestOMLockArenaMatchesOracleFuzz(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
 		want := runOracle(t, p)
-		for _, global := range []bool{false, true} {
-			got := runRacyCfg(t, p, core.Config{GlobalOMLock: global}, detect.Options{FastPath: true})
-			if !sameAddrs(got, want) {
-				t.Fatalf("seed %d global=%v: got %v, oracle %v", seed, global, got, want)
-			}
+		got := runRacyCfg(t, p, core.Config{}, detect.Options{FastPath: true})
+		if !sameAddrs(got, want) {
+			t.Fatalf("seed %d: got %v, oracle %v", seed, got, want)
 		}
 	}
 }
 
 // TestOMLockArenaParallelAgreement runs random programs on the parallel
 // engine (4 workers, lane arenas active since the Reach is the direct
-// Tracer) under both lock modes and compares the racy set to the
-// serial oracle. Repeats catch schedule-dependent misbehavior of the
+// Tracer) on the OM pair and compares the racy set to the serial
+// oracle. Repeats catch schedule-dependent misbehavior of the
 // fine-grained insert path.
 func TestOMLockArenaParallelAgreement(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
 		want := runOracle(t, p)
-		for _, ccfg := range []core.Config{
-			{}, // fine-grained + arenas (the default)
-			{GlobalOMLock: true},
-		} {
-			for rep := 0; rep < 2; rep++ {
-				reach := core.New(ccfg)
-				hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
-				if _, err := sched.Run(sched.Options{Workers: 4, Tracer: reach, Checker: hist}, p.Main()); err != nil {
-					t.Fatal(err)
-				}
-				if got := hist.RacyAddrs(); !sameAddrs(got, want) {
-					t.Fatalf("seed %d cfg %+v rep %d: parallel %v, oracle %v",
-						seed, ccfg, rep, got, want)
-				}
+		for rep := 0; rep < 2; rep++ {
+			reach := core.New(core.Config{})
+			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
+			if _, err := sched.Run(sched.Options{Workers: 4, Tracer: reach, Checker: hist}, p.Main()); err != nil {
+				t.Fatal(err)
+			}
+			if got := hist.RacyAddrs(); !sameAddrs(got, want) {
+				t.Fatalf("seed %d rep %d: parallel %v, oracle %v", seed, rep, got, want)
 			}
 		}
 	}

@@ -100,10 +100,6 @@ type Config struct {
 	// Reach selects SF-Order's reachability substrate: the OM list
 	// pair (default) or DePa fork-path labels (ABL10).
 	Reach core.Substrate
-	// OMGlobalLock forces SF-Order's order-maintenance lists back onto
-	// the single list-level insert lock instead of fine-grained bucket
-	// locking (ABL8). Ignored by the DePa substrate.
-	OMGlobalLock bool
 	// Registry, when non-nil, is attached to the run: every component
 	// registers its counters on it and Result.Stats carries the
 	// post-run snapshot. The table generators read their columns from
@@ -157,10 +153,7 @@ func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
 	if cfg.Mode != Base {
 		switch cfg.Detector {
 		case SFOrder:
-			sf := core.New(core.Config{
-				Reach:        cfg.Reach,
-				GlobalOMLock: cfg.OMGlobalLock,
-			})
+			sf := core.New(core.Config{Reach: cfg.Reach})
 			reach, leftOf, release = sf, sf.LeftOf, sf.Release
 		case FOrder:
 			reach = forder.NewReach()

@@ -16,68 +16,60 @@ import (
 // widen the space to the hard ceiling and renumber — rather than panic,
 // and every Precedes verdict must survive the escalated renumber.
 func TestExhaustionEscalatesInsteadOfPanicking(t *testing.T) {
-	for _, variant := range []struct {
-		name string
-		mk   func() *om.List
-	}{
-		{"finegrained", om.NewList},
-		{"globallock", om.NewListGlobalLock},
-	} {
-		t.Run(variant.name, func(t *testing.T) {
-			l := variant.mk()
-			// 2^9 soft bound: a global renumber fails once the list has
-			// more than 2^8 buckets (~10k items at 64-cap buckets), so
-			// 20k same-anchor inserts genuinely reach the old panic path.
-			l.SetLabelSpaceForTest(1<<9, 1<<40)
+	t.Run("finegrained", func(t *testing.T) {
+		l := om.NewList()
+		// 2^9 soft bound: a global renumber fails once the list has
+		// more than 2^8 buckets (~10k items at 64-cap buckets), so
+		// 20k same-anchor inserts genuinely reach the old panic path.
+		l.SetLabelSpaceForTest(1<<9, 1<<40)
 
-			anchor := l.InsertFirst()
-			const n = 20000
-			items := make([]*om.Item, n)
-			for i := range items {
-				items[i] = l.InsertAfter(anchor)
-			}
+		anchor := l.InsertFirst()
+		const n = 20000
+		items := make([]*om.Item, n)
+		for i := range items {
+			items[i] = l.InsertAfter(anchor)
+		}
 
-			if got := l.Escalations(); got < 1 {
-				t.Fatalf("escalations = %d, want >= 1 (storm never reached the old panic path)", got)
-			}
-			_, _, renumbers := l.Stats()
-			if renumbers < 2 {
-				t.Fatalf("renumbers = %d, want >= 2 (escalation must count as a renumber)", renumbers)
-			}
-			if err := l.CheckInvariants(); err != nil {
-				t.Fatalf("invariants after escalation: %v", err)
-			}
+		if got := l.Escalations(); got < 1 {
+			t.Fatalf("escalations = %d, want >= 1 (storm never reached the old panic path)", got)
+		}
+		_, _, renumbers := l.Stats()
+		if renumbers < 2 {
+			t.Fatalf("renumbers = %d, want >= 2 (escalation must count as a renumber)", renumbers)
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatalf("invariants after escalation: %v", err)
+		}
 
-			// Inserting after the same anchor reverses insertion order:
-			// items[j] sits before items[i] in the list iff j > i.
-			for _, pair := range [][2]int{{0, 1}, {0, n - 1}, {n / 2, n/2 + 1}, {17, n - 3}} {
-				i, j := pair[0], pair[1]
-				if !l.Precedes(items[j], items[i]) {
-					t.Errorf("items[%d] should precede items[%d] after escalation", j, i)
-				}
-				if l.Precedes(items[i], items[j]) {
-					t.Errorf("items[%d] must not precede items[%d] after escalation", i, j)
-				}
+		// Inserting after the same anchor reverses insertion order:
+		// items[j] sits before items[i] in the list iff j > i.
+		for _, pair := range [][2]int{{0, 1}, {0, n - 1}, {n / 2, n/2 + 1}, {17, n - 3}} {
+			i, j := pair[0], pair[1]
+			if !l.Precedes(items[j], items[i]) {
+				t.Errorf("items[%d] should precede items[%d] after escalation", j, i)
 			}
-			for _, it := range []*om.Item{items[0], items[n/2], items[n-1]} {
-				if !l.Precedes(anchor, it) {
-					t.Error("anchor must precede every stormed item after escalation")
-				}
+			if l.Precedes(items[i], items[j]) {
+				t.Errorf("items[%d] must not precede items[%d] after escalation", i, j)
 			}
-			ord := l.Order()
-			if len(ord) != n+1 {
-				t.Fatalf("Order() has %d items, want %d", len(ord), n+1)
+		}
+		for _, it := range []*om.Item{items[0], items[n/2], items[n-1]} {
+			if !l.Precedes(anchor, it) {
+				t.Error("anchor must precede every stormed item after escalation")
 			}
-			if ord[0] != anchor {
-				t.Fatal("anchor is no longer first after escalation")
+		}
+		ord := l.Order()
+		if len(ord) != n+1 {
+			t.Fatalf("Order() has %d items, want %d", len(ord), n+1)
+		}
+		if ord[0] != anchor {
+			t.Fatal("anchor is no longer first after escalation")
+		}
+		for i, it := range ord[1:] {
+			if it != items[n-1-i] {
+				t.Fatalf("Order()[%d] out of place after escalation", i+1)
 			}
-			for i, it := range ord[1:] {
-				if it != items[n-1-i] {
-					t.Fatalf("Order()[%d] out of place after escalation", i+1)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestExhaustionEscalationConcurrentReaders runs the same-anchor storm

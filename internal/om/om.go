@@ -128,25 +128,12 @@ type List struct {
 	maintLocks  atomic.Int64 // insert-path maintenance-lock acquisitions
 	bucketLocks atomic.Int64 // fast-path bucket-lock acquisitions
 	contended   atomic.Int64 // fast-path retries + escalations
-
-	// global forces every insert through the maintenance lock — the
-	// pre-fine-grained behavior, kept for the ABL8 ablation.
-	global bool
 }
 
 // NewList returns an empty list with fine-grained (per-bucket) insert
 // locking.
 func NewList() *List {
 	return &List{bound: topSpace, softBound: topSpace, hardBound: topSpaceMax}
-}
-
-// NewListGlobalLock returns an empty list whose inserts all serialize on
-// the single list-level lock — the behavior before fine-grained locking.
-// Used by the ABL8 ablation and A/B tests only.
-func NewListGlobalLock() *List {
-	l := NewList()
-	l.global = true
-	return l
 }
 
 // Len returns the number of items in the list.
@@ -165,9 +152,10 @@ func (l *List) Stats() (splits, relabels, renumbers int) {
 func (l *List) Escalations() int64 { return l.escalations.Load() }
 
 // LockAcquires returns the number of insert-path acquisitions of the
-// list-level maintenance lock: every insert in global mode, only
+// list-level maintenance lock: the InsertFirst that seeds the list and
 // escalations (split/relabel/renumber and full or label-exhausted
-// buckets) in fine-grained mode. The ABL8 ablation pins the ratio.
+// buckets). A list-level insert lock would take it once per batch;
+// TestOMLockReduction pins the ratio (ABL8).
 func (l *List) LockAcquires() int64 { return l.maintLocks.Load() }
 
 // BucketLocks returns the number of fast-path bucket-lock acquisitions.
@@ -265,20 +253,18 @@ func (l *List) InsertAfterNArena(x *Item, a *ItemArena, out []*Item) {
 	for i := range out {
 		out[i] = a.get()
 	}
-	if !l.global {
-		for {
-			r := l.tryInsertRun(x, out)
-			if r == runDone {
-				l.size.Add(int64(n))
-				return
-			}
-			if r == runEscalate {
-				break
-			}
-			// runRetry: x moved to a fresh bucket under a split; go again.
+	for {
+		r := l.tryInsertRun(x, out)
+		if r == runDone {
+			l.size.Add(int64(n))
+			return
 		}
-		l.contended.Add(1)
+		if r == runEscalate {
+			break
+		}
+		// runRetry: x moved to a fresh bucket under a split; go again.
 	}
+	l.contended.Add(1)
 	l.maintLocks.Add(1)
 	l.maint.Lock()
 	prev := x

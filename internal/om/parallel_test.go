@@ -1,7 +1,6 @@
 package om_test
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -226,50 +225,6 @@ func TestParallelInsertOrderMatchesReplay(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestGlobalLockModeEquivalence runs the same random script on a
-// fine-grained list and a global-lock list and checks the resulting
-// orders agree, so the ABL8 ablation compares identical structures.
-func TestGlobalLockModeEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fine := om.NewList()
-			global := om.NewListGlobalLock()
-			fi := []*om.Item{fine.InsertFirst()}
-			gi := []*om.Item{global.InsertFirst()}
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
-				k := rng.Intn(len(fi))
-				n := 1 + rng.Intn(3)
-				fb := fine.InsertAfterN(fi[k], n)
-				gb := global.InsertAfterN(gi[k], n)
-				fi = append(fi, fb...)
-				gi = append(gi, gb...)
-			}
-			if err := fine.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if err := global.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 200; i++ {
-				a, b := rng.Intn(len(fi)), rng.Intn(len(fi))
-				if fine.Compare(fi[a], fi[b]) != global.Compare(gi[a], gi[b]) {
-					t.Fatalf("order disagrees at pair (%d,%d)", a, b)
-				}
-			}
-			// Global mode must take the maintenance lock for every batch.
-			if global.LockAcquires() == 0 || global.BucketLocks() != 0 {
-				t.Errorf("global mode counters off: maint=%d bucket=%d",
-					global.LockAcquires(), global.BucketLocks())
-			}
-			if fine.LockAcquires() >= global.LockAcquires() {
-				t.Errorf("fine-grained maint locks %d not below global %d",
-					fine.LockAcquires(), global.LockAcquires())
-			}
-		})
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //  1. Loader. One goroutine reads the capture in order. It applies each
 //     structure event to the reachability substrate (internal/core — OM
-//     lists, DePa cords, or the hybrid) exactly as the online tracer
+//     lists or DePa cords) exactly as the online tracer
 //     would have, and routes each access block's entries, once, to the
 //     shards that own their addresses (ShardOf). File order is a
 //     happens-before-consistent linearization of the run (see
@@ -53,10 +53,8 @@ type Options struct {
 	Workers int
 	// Reach selects the reachability substrate the dag is rebuilt on.
 	// SubstrateDePa is the natural offline choice (immutable labels,
-	// lock-free queries); all three work.
+	// lock-free queries); both work.
 	Reach core.Substrate
-	// HybridDepth is the SubstrateHybrid switchover depth (0 = default).
-	HybridDepth int
 	// MaxRaces caps retained detailed race records (0 = 256), applied
 	// after the deterministic merge.
 	MaxRaces int
@@ -512,6 +510,9 @@ func maxTo(peak *atomic.Int64, v int64) {
 // it; OM label words are seqlock-validated optimistic reads designed for
 // exactly this concurrency).
 func run(src source, opts Options) (*Result, error) {
+	if !opts.Reach.Valid() {
+		return nil, fmt.Errorf("replay: unknown reachability substrate %v", opts.Reach)
+	}
 	p := opts.Workers
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
@@ -520,7 +521,7 @@ func run(src source, opts Options) (*Result, error) {
 	if maxRaces == 0 {
 		maxRaces = 256
 	}
-	reach := core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth})
+	reach := core.New(core.Config{Reach: opts.Reach})
 	if opts.Stats != nil {
 		reach.RegisterStats(opts.Stats)
 	}

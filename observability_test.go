@@ -3,7 +3,11 @@ package sforder_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"regexp"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -281,5 +285,64 @@ func TestTraceParallelSteals(t *testing.T) {
 	}
 	if steals == 0 {
 		t.Error("forced steal not recorded in trace")
+	}
+}
+
+// readmeStatsNames returns the gauge names README's stats-registry
+// table documents for prefix (e.g. "depa"): every plain backticked name
+// in the row's counters cell, qualified with the prefix. Names that are
+// themselves qualified (a cross-reference like `om.*`) are skipped.
+func readmeStatsNames(t *testing.T, readme, prefix string) []string {
+	t.Helper()
+	row := regexp.MustCompile("(?m)^\\| `" + regexp.QuoteMeta(prefix) + "\\.\\*` \\|(.*)\\|$").FindStringSubmatch(readme)
+	if row == nil {
+		t.Fatalf("README has no stats table row for %s.*", prefix)
+	}
+	var names []string
+	for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(row[1], -1) {
+		names = append(names, prefix+"."+m[1])
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// TestReadmeStatsContract: for the stats table rows that list plain
+// gauge names — sched.*, depa.*, core.* and hist.* — README documents
+// exactly the gauges an SF-Order run exports, on the OM substrate and
+// on DePa. The depa.* gauges exist only under DePa.
+func TestReadmeStatsContract(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+	for _, reach := range []sforder.ReachBackend{sforder.ReachOM, sforder.ReachDePa} {
+		res, err := sforder.Run(sforder.Config{Workers: 2, Reach: reach, Stats: true}, func(t *sforder.Task) {
+			h := t.Create(func(c *sforder.Task) any { c.Write(1); return nil })
+			t.Spawn(func(c *sforder.Task) { c.Read(2) })
+			t.Read(2)
+			t.Sync()
+			t.Get(h)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prefix := range []string{"sched", "depa", "core", "hist"} {
+			var exported []string
+			for name := range res.Stats {
+				if strings.HasPrefix(name, prefix+".") {
+					exported = append(exported, name)
+				}
+			}
+			slices.Sort(exported)
+			documented := readmeStatsNames(t, readme, prefix)
+			if prefix == "depa" && reach != sforder.ReachDePa {
+				documented = nil
+			}
+			if !slices.Equal(exported, documented) {
+				t.Errorf("reach=%v: README documents %s.* gauges %v, registry exports %v",
+					reach, prefix, documented, exported)
+			}
+		}
 	}
 }

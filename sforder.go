@@ -111,35 +111,21 @@ func (d Detector) String() string {
 }
 
 // ReachBackend selects the reachability substrate of the SFOrder
-// detector (the -reach flag of cmd/sforder). Other detectors ignore it.
-type ReachBackend int
+// detector (the -reach flag of cmd/sforder). Other detectors ignore it,
+// but Run and Replay reject a value that names no substrate.
+type ReachBackend = core.Substrate
 
 const (
 	// ReachOM (default) is the paper's English/Hebrew order-maintenance
 	// list pair: O(1) amortized labels, maintenance lock at splits and
 	// renumberings.
-	ReachOM ReachBackend = iota
+	ReachOM = core.SubstrateOM
 	// ReachDePa uses immutable DePa-style fork-path labels stored as
 	// prefix-sharing cords: no relabeling and no maintenance lock,
 	// O(strands) total label memory, and order comparisons that skip
 	// the shared prefix by pointer equality (ABL10/ABL11).
-	ReachDePa
-	// ReachHybrid is ReachDePa plus packed flat label copies below a
-	// depth threshold, compared directly on shallow-vs-shallow queries
-	// (ABL11).
-	ReachHybrid
+	ReachDePa = core.SubstrateDePa
 )
-
-func (b ReachBackend) String() string {
-	switch b {
-	case ReachDePa:
-		return "depa"
-	case ReachHybrid:
-		return "hybrid"
-	default:
-		return "om"
-	}
-}
 
 // ReaderPolicy selects how many previous readers the access history
 // keeps per location.
@@ -199,8 +185,7 @@ type Config struct {
 	// Run's error in parallel mode and panic in Serial mode.
 	CheckStructure bool
 	// Reach selects the SFOrder reachability substrate: the OM list
-	// pair (default), DePa fork-path cords, or the depth-adaptive
-	// flat/cord hybrid.
+	// pair (default) or DePa fork-path cords.
 	Reach ReachBackend
 	// Record, when non-nil, captures the run — every dag structure
 	// event plus the deduplicated access stream — to it in the sftrace
@@ -249,18 +234,14 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 		MemBytes() int
 		Queries() uint64
 	}
+	if !cfg.Reach.Valid() {
+		return nil, fmt.Errorf("sforder: unknown reachability substrate %v", cfg.Reach)
+	}
 	var reach reachComponent
 	var leftOf func(a, b *sched.Strand) bool
 	switch cfg.Detector {
 	case SFOrder:
-		ccfg := core.Config{}
-		switch cfg.Reach {
-		case ReachDePa:
-			ccfg.Reach = core.SubstrateDePa
-		case ReachHybrid:
-			ccfg.Reach = core.SubstrateHybrid
-		}
-		sf := core.New(ccfg)
+		sf := core.New(core.Config{Reach: cfg.Reach})
 		reach, leftOf = sf, sf.LeftOf
 	case FOrder:
 		reach = forder.NewReach()
@@ -380,8 +361,8 @@ type ReplayConfig struct {
 	// lives wholly in one shard.
 	Workers int
 	// Reach selects the reachability substrate the dag is rebuilt on.
-	// ReachDePa and ReachHybrid are natural offline choices (immutable
-	// labels, lock-free queries); the default OM pair also works.
+	// ReachDePa is the natural offline choice (immutable labels,
+	// lock-free queries); the default OM pair also works.
 	Reach ReachBackend
 	// MaxRaces caps retained detailed race records (0 = 256), applied
 	// after the deterministic cross-shard merge.
@@ -404,14 +385,9 @@ type ReplayResult = replay.Result
 func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 	opts := replay.Options{
 		Workers:     cfg.Workers,
+		Reach:       cfg.Reach,
 		MaxRaces:    cfg.MaxRaces,
 		DedupByAddr: cfg.DedupByAddr,
-	}
-	switch cfg.Reach {
-	case ReachDePa:
-		opts.Reach = core.SubstrateDePa
-	case ReachHybrid:
-		opts.Reach = core.SubstrateHybrid
 	}
 	res, err := replay.RunStream(r, opts)
 	if err != nil {

@@ -216,7 +216,6 @@ func TestReplayRoundTrip(t *testing.T) {
 	for _, cfg := range []sforder.ReplayConfig{
 		{Workers: 2}, // default OM backend
 		{Workers: 2, Reach: sforder.ReachDePa},
-		{Workers: 2, Reach: sforder.ReachHybrid},
 	} {
 		rr, err := sforder.Replay(bytes.NewReader(raw), cfg)
 		if err != nil {
@@ -225,6 +224,42 @@ func TestReplayRoundTrip(t *testing.T) {
 		if rr.RaceCount == 0 || len(rr.RacyAddrs) != 1 || rr.RacyAddrs[0] != 3 {
 			t.Fatalf("%+v: replay verdict %d races on %v, want addr 3",
 				cfg, rr.RaceCount, rr.RacyAddrs)
+		}
+	}
+}
+
+// badReach are ReachBackend values that name no substrate; 2 is what a
+// persisted hybrid selector held before that substrate was deleted.
+var badReach = []sforder.ReachBackend{2, 3, -1}
+
+// TestRunRejectsUnknownReach: Run reports an unknown Reach as an error,
+// as it does an unknown Detector, instead of running some substrate.
+func TestRunRejectsUnknownReach(t *testing.T) {
+	for _, r := range badReach {
+		ran := false
+		_, err := sforder.Run(sforder.Config{Workers: 2, Reach: r}, func(*sforder.Task) { ran = true })
+		if err == nil || !strings.Contains(err.Error(), "unknown reachability substrate") {
+			t.Errorf("Reach=%d: got %v, want unknown-substrate error", int(r), err)
+		}
+		if ran {
+			t.Errorf("Reach=%d: program ran despite the bad config", int(r))
+		}
+	}
+}
+
+// TestReplayRejectsUnknownReach: Replay reports an unknown Reach as an
+// error on an otherwise valid capture.
+func TestReplayRejectsUnknownReach(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := sforder.Run(sforder.Config{Serial: true, Record: &buf}, func(t *sforder.Task) {
+		t.Write(1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range badReach {
+		_, err := sforder.Replay(bytes.NewReader(buf.Bytes()), sforder.ReplayConfig{Workers: 2, Reach: r})
+		if err == nil || !strings.Contains(err.Error(), "unknown reachability substrate") {
+			t.Errorf("Reach=%d: got %v, want unknown-substrate error", int(r), err)
 		}
 	}
 }
